@@ -12,13 +12,9 @@
 // admin HTTP /metrics endpoint repeatedly and reports scrape latency as
 // its own row.
 //
-// A final overhead phase replays the hot (cache-hit) path — which now
-// includes the flight-recorder commit — with the global instrumentation
-// kill switch off and on, repeated three times, and reports the minimum
-// relative cost across the repetitions (min-of-3 filters scheduler
-// noise; the instrumentation delta is systematic, the noise is not).
-// The budget is <= 2% (DESIGN.md §12); the process exits nonzero when
-// the measured overhead busts it, so CI fails loudly.
+// Instrumentation overhead is not measured here: the repo benchmark's
+// obs.overhead_pct (interleaved metrics-off/on pairs over pre-warmed
+// keys, perfbench/) is the measurement of record (DESIGN.md §12).
 //
 //   bench_serve [--smoke] [--json BENCH_serve.json]
 //               [--connections C] [--requests N]
@@ -69,17 +65,15 @@ struct PhaseRow {
 // chosen so the whole phase covers [seed_base, seed_base + requests).
 // Per-request round-trip times are recorded into `latency` (the
 // histogram's lock-free Record makes one shared instance safe across
-// connection threads); pass nullptr to skip recording — the overhead
-// phases do, because the kill switch they are pricing would gate the
-// recording itself.
+// connection threads).
 void RunPhase(int port, const std::string& graph, int connections,
               int per_connection, uint64_t seed_base,
-              LatencyHistogram* latency, PhaseRow* row) {
+              LatencyHistogram& latency, PhaseRow* row) {
   Timer phase_timer;
   std::vector<std::thread> threads;
   std::vector<int> failures(static_cast<std::size_t>(connections), 0);
   for (int c = 0; c < connections; ++c) {
-    threads.emplace_back([=, &failures] {
+    threads.emplace_back([=, &failures, &latency] {
       auto client = ServeClient::Connect("127.0.0.1", port);
       if (!client.ok()) {
         failures[static_cast<std::size_t>(c)] = per_connection;
@@ -95,8 +89,8 @@ void RunPhase(int port, const std::string& graph, int connections,
         Timer request_timer;
         if (!client->SendLine(request).ok() || !client->ReadLine().ok()) {
           ++failures[static_cast<std::size_t>(c)];
-        } else if (latency != nullptr) {
-          latency->Record(request_timer.Micros());
+        } else {
+          latency.Record(request_timer.Micros());
         }
       }
     });
@@ -108,7 +102,7 @@ void RunPhase(int port, const std::string& graph, int connections,
   for (int f : failures) row->requests -= f;  // report successes only
   row->seconds = seconds;
   row->rps = seconds > 0 ? row->requests / seconds : 0.0;
-  if (latency != nullptr) row->latency = latency->snapshot();
+  row->latency = latency.snapshot();
 }
 
 // Minimal blocking HTTP/1.1 GET against the admin plane; returns the
@@ -222,7 +216,7 @@ int main(int argc, char** argv) {
       // request is answerable from the cache.
       LatencyHistogram latency;
       RunPhase(server.port(), name, connections, per_connection,
-               /*seed_base=*/1, &latency, &row);
+               /*seed_base=*/1, latency, &row);
       const auto after = handler.cache().stats();
       row.cache_hits = static_cast<long long>(after.hits - before.hits);
       std::printf(
@@ -295,44 +289,7 @@ int main(int argc, char** argv) {
     rows.push_back(row);
   }
 
-  // Overhead phase: the same hot cache-hit replay on the first graph,
-  // first with every Counter::Add / Histogram::Record / flight-recorder
-  // Commit turned into a no-op by the global kill switch, then with
-  // instrumentation live. Both runs hit only the cache path, so the
-  // delta prices the observability layer itself. Three repetitions,
-  // minimum overhead kept: the instrumentation cost is systematic and
-  // survives the min, scheduler noise does not. Enough requests per
-  // repetition to make the ratio meaningful even in smoke mode.
-  const std::string& overhead_graph = graphs.front().first;
-  const int overhead_per_connection =
-      per_connection < 200 ? 200 : per_connection;
-  double overhead_pct = 0.0;
-  double off_rps = 0.0, on_rps = 0.0;
-  for (int rep = 0; rep < 3; ++rep) {
-    PhaseRow off_row, on_row;
-    cfcm::obs::SetMetricsEnabled(false);
-    RunPhase(server.port(), overhead_graph, connections,
-             overhead_per_connection, /*seed_base=*/1, nullptr, &off_row);
-    cfcm::obs::SetMetricsEnabled(true);
-    RunPhase(server.port(), overhead_graph, connections,
-             overhead_per_connection, /*seed_base=*/1, nullptr, &on_row);
-    const double pct =
-        off_row.rps > 0 ? (off_row.rps - on_row.rps) / off_row.rps * 100.0
-                        : 0.0;
-    if (rep == 0 || pct < overhead_pct) {
-      overhead_pct = pct;
-      off_rps = off_row.rps;
-      on_rps = on_row.rps;
-    }
-  }
   server.Shutdown();
-
-  const bool within_budget = overhead_pct <= 2.0;
-  std::printf(
-      "# instrumentation overhead (hot path, %s, min of 3): off=%.1f req/s "
-      "on=%.1f req/s overhead=%.2f%% (budget 2%%) %s\n",
-      overhead_graph.c_str(), off_rps, on_rps, overhead_pct,
-      within_budget ? "OK" : "OVER BUDGET");
 
   if (json_path != nullptr) {
     std::FILE* out = std::fopen(json_path, "w");
@@ -355,23 +312,10 @@ int main(int argc, char** argv) {
                    LatencyJson(r.latency).c_str(),
                    i + 1 == rows.size() ? "" : ",");
     }
-    std::fprintf(out,
-                 "  ],\n  \"instrumentation_overhead\": "
-                 "{\"graph\":\"%s\",\"rps_disabled\":%.1f,"
-                 "\"rps_enabled\":%.1f,\"overhead_pct\":%.2f,"
-                 "\"budget_pct\":2.0,\"within_budget\":%s}\n}\n",
-                 overhead_graph.c_str(), off_rps, on_rps, overhead_pct,
-                 within_budget ? "true" : "false");
+    std::fprintf(out, "  ]\n}\n");
     std::fclose(out);
     std::printf("# wrote %zu serving perf rows to %s\n", rows.size(),
                 json_path);
-  }
-  if (!within_budget) {
-    std::fprintf(stderr,
-                 "bench_serve: instrumentation overhead %.2f%% exceeds the "
-                 "2%% budget\n",
-                 overhead_pct);
-    return 1;
   }
   return 0;
 }

@@ -53,8 +53,6 @@ StatusOr<CfcmResult> ForestCfcmExhaustive(const Graph& graph, int k,
     result.selected.push_back(best);
     in_s[best] = 1;
   }
-  RecordSelectionCounters(result.rescored_candidates, result.heap_pops,
-                          result.forests_reused);
   return result;
 }
 

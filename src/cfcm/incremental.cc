@@ -10,7 +10,6 @@
 #include "common/timer.h"
 #include "estimators/forest_delta.h"
 #include "graph/components.h"
-#include "obs/metrics.h"
 
 namespace cfcm {
 
@@ -70,12 +69,6 @@ NodeId BestInSubset(const DeltaEstimate& d, const std::vector<char>& mask,
   return best;
 }
 
-std::shared_ptr<const WarmState> DepositFromCapture(
-    const Graph& graph, const CfcmOptions& options, const CfcmResult& result,
-    WarmCapture&& capture) {
-  return BuildWarmState(graph, options, result, std::move(capture));
-}
-
 }  // namespace
 
 const char* WarmModeName(WarmMode mode) {
@@ -95,31 +88,6 @@ std::optional<WarmMode> ParseWarmMode(std::string_view name) {
   if (name == "auto") return WarmMode::kAuto;
   if (name == "on") return WarmMode::kOn;
   return std::nullopt;
-}
-
-void RecordIncrementalCounters(std::int64_t forests_reused,
-                               std::int64_t forests_resampled,
-                               std::int64_t warm_starts,
-                               std::int64_t cold_fallbacks,
-                               std::int64_t swap_moves) {
-  static obs::Counter* const reused =
-      &obs::MetricsRegistry::Global().counter(
-          "engine.incremental.forests_reused");
-  static obs::Counter* const resampled =
-      &obs::MetricsRegistry::Global().counter(
-          "engine.incremental.forests_resampled");
-  static obs::Counter* const warm =
-      &obs::MetricsRegistry::Global().counter("engine.incremental.warm_starts");
-  static obs::Counter* const fallbacks =
-      &obs::MetricsRegistry::Global().counter(
-          "engine.incremental.cold_fallbacks");
-  static obs::Counter* const swaps =
-      &obs::MetricsRegistry::Global().counter("engine.incremental.swap_moves");
-  reused->Add(static_cast<uint64_t>(forests_reused));
-  resampled->Add(static_cast<uint64_t>(forests_resampled));
-  warm->Add(static_cast<uint64_t>(warm_starts));
-  fallbacks->Add(static_cast<uint64_t>(cold_fallbacks));
-  swaps->Add(static_cast<uint64_t>(swap_moves));
 }
 
 std::shared_ptr<const WarmState> BuildWarmState(const Graph& graph,
@@ -279,11 +247,15 @@ WarmDecision DecideWarm(const Graph& graph, const WarmState* state, int k,
   return {true, "ok"};
 }
 
-StatusOr<CfcmResult> ForestSolveWithWarm(
-    const Graph& graph, int k, const CfcmOptions& options, WarmMode mode,
-    const std::shared_ptr<const WarmState>& warm,
-    std::shared_ptr<const WarmState>* deposit) {
+StatusOr<CfcmResult> ForestSolveWithWarm(const Graph& graph, int k,
+                                         const CfcmOptions& options,
+                                         WarmIo* io) {
   CFCM_RETURN_IF_ERROR(ValidateCfcmArguments(graph, k));
+  const WarmMode mode = io != nullptr ? io->mode : WarmMode::kOff;
+  const std::shared_ptr<const WarmState> warm =
+      io != nullptr ? io->state : nullptr;
+  std::shared_ptr<const WarmState>* deposit =
+      io != nullptr ? &io->deposit : nullptr;
 
   const bool lazy = options.selection == SelectionMode::kLazy;
   WarmDecision decision{false, "warm_off"};
@@ -302,12 +274,8 @@ StatusOr<CfcmResult> ForestSolveWithWarm(
     cold->cold_fallback =
         lazy && (mode == WarmMode::kOn ||
                  (mode == WarmMode::kAuto && warm != nullptr));
-    if (cold->cold_fallback) {
-      RecordIncrementalCounters(0, 0, 0, 1, 0);
-    }
     if (deposit != nullptr && lazy) {
-      *deposit =
-          DepositFromCapture(graph, options, *cold, std::move(capture));
+      *deposit = BuildWarmState(graph, options, *cold, std::move(capture));
     }
     return cold;
   }
@@ -322,18 +290,11 @@ StatusOr<CfcmResult> ForestSolveWithWarm(
   if (state.touched.empty() && !state.structural && n == state.source_n) {
     CfcmResult result = state.base_result;
     result.forests_per_iteration.clear();
-    result.total_forests = 0;
-    result.total_walk_steps = 0;
-    result.rescored_candidates = 0;
-    result.heap_pops = 0;
-    result.forests_reused = 0;
-    result.forests_resampled = 0;
-    result.swap_moves = 0;
+    static_cast<WorkCounters&>(result) = WorkCounters{};  // no work done
     result.warm_started = true;
     result.cold_fallback = false;
     result.seconds = timer.Seconds();
     if (deposit != nullptr) *deposit = warm;
-    RecordIncrementalCounters(0, 0, 1, 0, 0);
     return result;
   }
 
@@ -536,9 +497,6 @@ StatusOr<CfcmResult> ForestSolveWithWarm(
     }
     *deposit = std::move(next);
   }
-
-  RecordIncrementalCounters(result.forests_reused, result.forests_resampled,
-                            1, 0, result.swap_moves);
   return result;
 }
 

@@ -161,27 +161,29 @@ struct WarmDecision {
 WarmDecision DecideWarm(const Graph& graph, const WarmState* state, int k,
                         const CfcmOptions& options);
 
+/// \brief The warm-start channel of one solve call: the policy and the
+/// caller's state in, the successor state out. A null channel means a
+/// plain cold solve that deposits nothing.
+struct WarmIo {
+  WarmMode mode = WarmMode::kOff;
+  /// The caller's state for the graph being solved; may be null.
+  std::shared_ptr<const WarmState> state;
+  /// Filled by a solver with a warm path (every lazy forest solve, warm
+  /// or cold) with the successor state to retain; untouched otherwise.
+  std::shared_ptr<const WarmState> deposit;
+};
+
 /// \brief Forest solve with the warm-start pipeline.
 ///
-/// mode kOff (or exhaustive selection) runs the plain cold solve;
-/// kAuto/kOn run the warm repair when DecideWarm accepts and fall back
-/// cold otherwise (result.cold_fallback reports it). Every lazy solve,
-/// warm or cold, fills `deposit` (may be null) with the successor
-/// WarmState for GraphSession to retain. Warm results depend on the
-/// session's mutation history and must never enter the result cache;
-/// result.warm_started marks them.
-StatusOr<CfcmResult> ForestSolveWithWarm(
-    const Graph& graph, int k, const CfcmOptions& options, WarmMode mode,
-    const std::shared_ptr<const WarmState>& warm,
-    std::shared_ptr<const WarmState>* deposit);
-
-/// Records the engine.incremental.{forests_reused,forests_resampled,
-/// warm_starts,cold_fallbacks,swap_moves} process counters.
-void RecordIncrementalCounters(std::int64_t forests_reused,
-                               std::int64_t forests_resampled,
-                               std::int64_t warm_starts,
-                               std::int64_t cold_fallbacks,
-                               std::int64_t swap_moves);
+/// A null `io` or mode kOff (or exhaustive selection) runs the plain
+/// cold solve; kAuto/kOn run the warm repair when DecideWarm accepts
+/// and fall back cold otherwise (result.cold_fallback reports it). With
+/// a non-null `io`, every lazy solve fills io->deposit. Warm results
+/// depend on the session's mutation history and must never enter the
+/// result cache; result.warm_started marks them.
+StatusOr<CfcmResult> ForestSolveWithWarm(const Graph& graph, int k,
+                                         const CfcmOptions& options,
+                                         WarmIo* io);
 
 }  // namespace cfcm
 

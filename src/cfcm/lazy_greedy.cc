@@ -9,7 +9,6 @@
 #include "cfcm/cfcc.h"
 #include "estimators/first_pick.h"
 #include "estimators/reuse_delta.h"
-#include "obs/metrics.h"
 
 namespace cfcm {
 
@@ -63,22 +62,6 @@ void LazyHeap::Push(NodeId id, double key, double gain, int round) {
   SiftUp(heap_.size() - 1);
 }
 
-void LazyHeap::Update(NodeId id, double key, double gain, int round) {
-  assert(Contains(id));
-  const std::size_t i =
-      static_cast<std::size_t>(pos_[static_cast<std::size_t>(id)]);
-  const bool raised = key > heap_[i].key ||
-                      (key == heap_[i].key && false);  // same id: order keyed
-  heap_[i].key = key;
-  heap_[i].gain = gain;
-  heap_[i].round = round;
-  if (raised) {
-    SiftUp(i);
-  } else {
-    SiftDown(i);
-  }
-}
-
 LazyHeapEntry LazyHeap::Pop() {
   assert(!heap_.empty());
   LazyHeapEntry top = heap_.front();
@@ -93,21 +76,6 @@ LazyHeapEntry LazyHeap::Pop() {
 }
 
 // ------------------------------------------------------------------ driver
-
-void RecordSelectionCounters(std::int64_t rescored, std::int64_t pops,
-                             std::int64_t reused) {
-  static obs::Counter* const rescored_total =
-      &obs::MetricsRegistry::Global().counter(
-          "engine.selection.rescored_candidates");
-  static obs::Counter* const pops_total =
-      &obs::MetricsRegistry::Global().counter("engine.selection.heap_pops");
-  static obs::Counter* const reused_total =
-      &obs::MetricsRegistry::Global().counter(
-          "engine.selection.forests_reused");
-  rescored_total->Add(static_cast<uint64_t>(rescored));
-  pops_total->Add(static_cast<uint64_t>(pops));
-  reused_total->Add(static_cast<uint64_t>(reused));
-}
 
 namespace {
 
@@ -524,8 +492,6 @@ StatusOr<CfcmResult> LazyGreedySelect(const Graph& graph, int k,
     // on MatchesRound, so handing it over is safe either way.
     if (k >= 2) capture->arena = std::move(arenas[(k - 1) & 1]);
   }
-  RecordSelectionCounters(result.rescored_candidates, result.heap_pops,
-                          result.forests_reused);
   return result;
 }
 

@@ -46,12 +46,11 @@ struct LazyHeapEntry {
 
 /// \brief Address-free indexed binary max-heap over candidate node ids.
 ///
-/// Array-backed sift-up/sift-down with a position index per node id, so
-/// keys can be updated in place (decrease- or increase-key) in
-/// O(log n). Ordering is deterministic: larger key first, ties broken
-/// by the LOWER node id — exactly the argmax rule of the exhaustive
-/// scan (first strict improvement wins), so a heap-driven selection can
-/// never disagree with the scan on tie-breaks.
+/// Array-backed sift-up/sift-down with a position index per node id
+/// for O(1) membership. Ordering is deterministic: larger key first,
+/// ties broken by the LOWER node id — exactly the argmax rule of the
+/// exhaustive scan (first strict improvement wins), so a heap-driven
+/// selection can never disagree with the scan on tie-breaks.
 class LazyHeap {
  public:
   /// Empties the heap and sizes the position index for ids [0, n).
@@ -59,9 +58,6 @@ class LazyHeap {
 
   /// Inserts `id` (must not be present). O(log size).
   void Push(NodeId id, double key, double gain, int round);
-
-  /// Re-keys `id` (must be present), restoring heap order. O(log size).
-  void Update(NodeId id, double key, double gain, int round);
 
   bool Contains(NodeId id) const;
   bool empty() const { return heap_.empty(); }
@@ -140,12 +136,6 @@ StatusOr<CfcmResult> LazyGreedySelect(const Graph& graph, int k,
                                       const LazyDeltaFn& delta_fn,
                                       bool allow_forest_reuse,
                                       WarmCapture* capture = nullptr);
-
-/// Records the engine.selection.{rescored_candidates,heap_pops,
-/// forests_reused} process counters; called by both selection modes so
-/// --trace and the metrics endpoint can compare their work directly.
-void RecordSelectionCounters(std::int64_t rescored, std::int64_t pops,
-                             std::int64_t reused);
 
 }  // namespace cfcm
 

@@ -119,27 +119,52 @@ struct CfcmOptions {
   SolverBackend solver_backend = SolverBackend::kAuto;
 };
 
-/// Per-iteration and total diagnostics of a solver run.
-struct CfcmResult {
-  std::vector<NodeId> selected;          ///< greedy order, size k
-  std::vector<int> forests_per_iteration;
-  std::int64_t total_forests = 0;
+/// \brief Work a solve performed. Counters that do not apply to an
+/// algorithm stay 0.
+struct WorkCounters {
+  std::int64_t total_forests = 0;     ///< forests sampled (replays excluded)
   std::int64_t total_walk_steps = 0;  ///< loop-erased walk steps sampled
-  double seconds = 0.0;
-  int jl_rows = 0;
-  int auxiliary_roots = 0;  ///< |T| (SchurCFCM only)
+  std::int64_t solver_calls = 0;      ///< APPROXGREEDY Laplacian systems
 
-  // -- selection-layer work counters (DESIGN.md §13). In exhaustive
-  // mode rescored_candidates counts the full per-round scans and the
-  // other two stay 0.
+  // -- selection layer (DESIGN.md §13). In exhaustive mode
+  // rescored_candidates counts the full per-round scans and the other
+  // two stay 0.
   std::int64_t rescored_candidates = 0;  ///< candidate gain evaluations
   std::int64_t heap_pops = 0;            ///< lazy-heap pops
   std::int64_t forests_reused = 0;       ///< arena replays (no walks)
 
-  // -- incremental warm-start diagnostics (DESIGN.md §16). All zero on
-  // cold solves.
+  // -- incremental warm start (DESIGN.md §16). Zero on cold solves.
   std::int64_t forests_resampled = 0;  ///< dirty/extension forests drawn
   std::int64_t swap_moves = 0;         ///< repair swaps applied
+};
+
+/// Calls fn(wire_name, value) for every work counter, in a fixed order.
+/// This list is the only place counters are named for export: solver
+/// trace annotations, the serve solve response, cfcm_cli --json and the
+/// engine.selection.* / engine.incremental.* metrics all iterate it.
+template <typename Fn>
+void ForEachWorkCounter(const WorkCounters& counters, Fn&& fn) {
+  fn("forests", counters.total_forests);
+  fn("walk_steps", counters.total_walk_steps);
+  fn("solver_calls", counters.solver_calls);
+  fn("rescored_candidates", counters.rescored_candidates);
+  fn("heap_pops", counters.heap_pops);
+  fn("forests_reused", counters.forests_reused);
+  fn("forests_resampled", counters.forests_resampled);
+  fn("swap_moves", counters.swap_moves);
+}
+
+/// Result of any maximization algorithm (every registered solver
+/// returns it): the group plus per-iteration and total diagnostics.
+/// Fields that do not apply to an algorithm keep their defaults.
+struct CfcmResult : WorkCounters {
+  std::vector<NodeId> selected;          ///< greedy/rank order, size k
+  std::vector<int> forests_per_iteration;
+  double seconds = 0.0;                  ///< solver wall time
+  int jl_rows = 0;
+  int auxiliary_roots = 0;  ///< |T| (SchurCFCM only)
+
+  // -- incremental warm start (DESIGN.md §16).
   bool warm_started = false;           ///< solved via warm repair
   bool cold_fallback = false;          ///< warm requested but refused
 

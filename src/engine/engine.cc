@@ -36,6 +36,21 @@ Status ValidateGroup(NodeId n, const std::vector<NodeId>& group) {
   return Status::Ok();
 }
 
+// Adds one solve's work counters to the process metrics, one counter
+// per ForEachWorkCounter name: warm results under engine.incremental.*,
+// every other solve under engine.selection.* (DESIGN.md §13, §16).
+void RecordWorkCounters(const CfcmResult& result) {
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  const std::string layer =
+      result.warm_started ? "engine.incremental." : "engine.selection.";
+  ForEachWorkCounter(result, [&](const char* name, int64_t value) {
+    metrics.counter(layer + name).Add(static_cast<uint64_t>(value));
+  });
+  metrics.counter("engine.incremental.warm_starts").Add(result.warm_started);
+  metrics.counter("engine.incremental.cold_fallbacks")
+      .Add(result.cold_fallback);
+}
+
 }  // namespace
 
 AugmentBudget CheckAugmentBudget(const EngineOptions& options, NodeId n,
@@ -128,8 +143,6 @@ StatusOr<JobResult> Engine::RunSolve(
     return Status::FailedPrecondition(
         "session graph must be connected and non-empty");
   }
-  // Registry lookup even for the warm-routed forest path, so unknown
-  // algorithm names fail with the same NotFound either way.
   StatusOr<const Solver*> solver = SolverRegistry::Global().Find(job.algorithm);
   if (!solver.ok()) return solver.status();
 
@@ -142,61 +155,29 @@ StatusOr<JobResult> Engine::RunSolve(
   // (see ThreadPool) and results are invariant to the pool size.
   options.pool = &session_->pool();
 
+  // One dispatch for every algorithm. The session's warm state for this
+  // exact snapshot goes in (mode permitting) and whatever successor
+  // state the solver deposits comes back (DESIGN.md §16); solvers
+  // without a warm path ignore the channel.
+  WarmIo warm;
+  warm.mode = job.warm;
+  if (job.warm != WarmMode::kOff) {
+    warm.state = session_->WarmStateFor(snapshot.get());
+  }
   std::size_t span = 0;
   if (trace != nullptr) span = trace->BeginSpan("solver");
-  StatusOr<SolveOutput> output = Status::FailedPrecondition("unset");
-  if (job.algorithm == "forest") {
-    // The forest solver runs through the incremental pipeline
-    // (DESIGN.md §16): it consumes the session's warm state for this
-    // exact snapshot (mode permitting) and deposits the successor
-    // state for the next solve/mutation, warm or cold.
-    std::shared_ptr<const cfcm::WarmState> warm;
-    if (job.warm != cfcm::WarmMode::kOff) {
-      warm = session_->WarmStateFor(snapshot.get());
-    }
-    std::shared_ptr<const cfcm::WarmState> deposit;
-    StatusOr<CfcmResult> solved = cfcm::ForestSolveWithWarm(
-        snapshot->graph(), job.k, options, job.warm, warm, &deposit);
-    if (solved.ok()) {
-      if (deposit != nullptr) {
-        session_->DepositWarmState(snapshot, std::move(deposit));
-      }
-      SolveOutput out;
-      out.selected = std::move(solved->selected);
-      out.seconds = solved->seconds;
-      out.total_forests = solved->total_forests;
-      out.total_walk_steps = solved->total_walk_steps;
-      out.jl_rows = solved->jl_rows;
-      out.rescored_candidates = solved->rescored_candidates;
-      out.heap_pops = solved->heap_pops;
-      out.forests_reused = solved->forests_reused;
-      out.forests_resampled = solved->forests_resampled;
-      out.swap_moves = solved->swap_moves;
-      out.warm_started = solved->warm_started;
-      out.cold_fallback = solved->cold_fallback;
-      output = std::move(out);
-    } else {
-      output = solved.status();
-    }
-  } else {
-    output = (*solver)->Solve(snapshot->graph(), job.k, options);
-  }
+  StatusOr<CfcmResult> output =
+      (*solver)->Solve(snapshot->graph(), job.k, options, &warm);
   if (trace != nullptr) {
     if (output.ok()) {
-      trace->Annotate("forests", output->total_forests);
-      trace->Annotate("walk_steps", output->total_walk_steps);
-      trace->Annotate("solver_calls", output->solver_calls);
-      // Selection-layer work (DESIGN.md §13): 1 = lazy, 0 = exhaustive.
+      ForEachWorkCounter(*output, [trace](const char* name, int64_t value) {
+        trace->Annotate(name, value);
+      });
+      // Selection strategy (DESIGN.md §13): 1 = lazy, 0 = exhaustive.
       trace->Annotate("selection",
                       job.selection == SelectionMode::kLazy ? 1 : 0);
-      trace->Annotate("rescored_candidates", output->rescored_candidates);
-      trace->Annotate("heap_pops", output->heap_pops);
-      trace->Annotate("forests_reused", output->forests_reused);
-      // Incremental warm-start work (DESIGN.md §16).
       trace->Annotate("warm_started", output->warm_started ? 1 : 0);
       trace->Annotate("cold_fallback", output->cold_fallback ? 1 : 0);
-      trace->Annotate("forests_resampled", output->forests_resampled);
-      trace->Annotate("swap_moves", output->swap_moves);
       // Resolved exact kernel as its enum ordinal (annotations are
       // integers); absent when the solver never touched the exact paths.
       if (const auto backend = ParseSolverBackend(output->solver_backend)) {
@@ -206,6 +187,10 @@ StatusOr<JobResult> Engine::RunSolve(
     trace->EndSpan(span);
   }
   if (!output.ok()) return output.status();
+  if (warm.deposit != nullptr) {
+    session_->DepositWarmState(snapshot, std::move(warm.deposit));
+  }
+  RecordWorkCounters(*output);
 
   SolveJobResult result;
   result.algorithm = job.algorithm;

@@ -30,8 +30,8 @@ struct SolveJob {
   int k = 1;
   double eps = 0.2;      ///< error parameter (randomized solvers)
   uint64_t seed = 1;     ///< full determinism per seed
-  /// Greedy argmax strategy for solvers with the lazy_selection
-  /// capability (DESIGN.md §13); others ignore it.
+  /// Greedy argmax strategy of the sampled solvers, forest and schur
+  /// (DESIGN.md §13); others ignore it.
   SelectionMode selection = SelectionMode::kLazy;
   /// Kernel behind the exact Laplacian paths (DESIGN.md §14); sampled
   /// solvers ignore it apart from exact scoring.
@@ -39,8 +39,9 @@ struct SolveJob {
   /// Warm-start policy (DESIGN.md §16): kOff = plain cold solve (the
   /// default keeps existing behavior byte-identical), kAuto = warm when
   /// the session holds a usable state for the pinned snapshot, kOn =
-  /// warm or report cold_fallback. Only the "forest" algorithm with
-  /// lazy selection honors it; every lazy forest solve still deposits a
+  /// warm or report cold_fallback. The engine hands every solver the
+  /// same warm channel; only solvers with a warm path ("forest" with
+  /// lazy selection) honor it, and every lazy forest solve deposits a
   /// warm state for successors regardless of the mode.
   cfcm::WarmMode warm = cfcm::WarmMode::kOff;
 };
@@ -80,7 +81,7 @@ using Job = std::variant<SolveJob, EvaluateJob, AugmentJob>;
 /// group centrality.
 struct SolveJobResult {
   std::string algorithm;
-  SolveOutput output;
+  CfcmResult output;
   double cfcc = 0.0;  ///< C(S) of output.selected (exact below
                       ///< EngineOptions::exact_eval_max_n, probed above)
 };
@@ -206,11 +207,14 @@ class Engine {
   /// \brief Same as Run(job, snapshot), optionally traced.
   ///
   /// With a non-null `trace`, per-phase spans ("solver", "score",
-  /// "evaluate", "augment") and sampling annotations (forests,
-  /// walk_steps) are recorded into it; a null trace costs one branch.
+  /// "evaluate", "augment") and the solver's work counters (one
+  /// annotation per ForEachWorkCounter name) are recorded into it; a
+  /// null trace costs one branch.
   /// Every Run also feeds the engine.<job>_us latency histograms in the
-  /// global metrics registry. Neither path touches the solver's inputs,
-  /// so results stay bitwise identical per seed, traced or not.
+  /// global metrics registry, and every solve its work counters
+  /// (engine.selection.* or, for warm results, engine.incremental.*).
+  /// Neither path touches the solver's inputs, so results stay bitwise
+  /// identical per seed, traced or not.
   StatusOr<JobResult> Run(const Job& job,
                           const std::shared_ptr<const GraphSnapshot>& snapshot,
                           obs::TraceContext* trace) const;

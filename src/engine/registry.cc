@@ -29,28 +29,14 @@ class ForestSolver final : public Solver {
                 .deterministic = false,
                 .randomized = true,
                 .approximation_guarantee = true,
-                .lazy_selection = true,
                 .complexity = "~O(k m eps^-2 log n) expected",
                 .max_recommended_n = 0}) {}
 
-  StatusOr<SolveOutput> Solve(const Graph& graph, int k,
-                              const CfcmOptions& options) const override {
-    StatusOr<CfcmResult> result = ForestCfcmMaximize(graph, k, options);
-    if (!result.ok()) return result.status();
-    SolveOutput out;
-    out.selected = std::move(result->selected);
-    out.seconds = result->seconds;
-    out.total_forests = result->total_forests;
-    out.total_walk_steps = result->total_walk_steps;
-    out.jl_rows = result->jl_rows;
-    out.rescored_candidates = result->rescored_candidates;
-    out.heap_pops = result->heap_pops;
-    out.forests_reused = result->forests_reused;
-    out.forests_resampled = result->forests_resampled;
-    out.swap_moves = result->swap_moves;
-    out.warm_started = result->warm_started;
-    out.cold_fallback = result->cold_fallback;
-    return out;
+  // The only solver with a warm path (DESIGN.md §16).
+  StatusOr<CfcmResult> Solve(const Graph& graph, int k,
+                             const CfcmOptions& options,
+                             WarmIo* warm) const override {
+    return ForestSolveWithWarm(graph, k, options, warm);
   }
 };
 
@@ -64,26 +50,14 @@ class SchurSolver final : public Solver {
                 .deterministic = false,
                 .randomized = true,
                 .approximation_guarantee = true,
-                .lazy_selection = true,
                 .complexity = "~O(k m eps^-2 log n) expected, smaller "
                               "constants on scale-free graphs",
                 .max_recommended_n = 0}) {}
 
-  StatusOr<SolveOutput> Solve(const Graph& graph, int k,
-                              const CfcmOptions& options) const override {
-    StatusOr<CfcmResult> result = SchurCfcmMaximize(graph, k, options);
-    if (!result.ok()) return result.status();
-    SolveOutput out;
-    out.selected = std::move(result->selected);
-    out.seconds = result->seconds;
-    out.total_forests = result->total_forests;
-    out.total_walk_steps = result->total_walk_steps;
-    out.jl_rows = result->jl_rows;
-    out.auxiliary_roots = result->auxiliary_roots;
-    out.rescored_candidates = result->rescored_candidates;
-    out.heap_pops = result->heap_pops;
-    out.forests_reused = result->forests_reused;
-    return out;
+  StatusOr<CfcmResult> Solve(const Graph& graph, int k,
+                             const CfcmOptions& options,
+                             WarmIo* /*warm*/) const override {
+    return SchurCfcmMaximize(graph, k, options);
   }
 };
 
@@ -101,12 +75,13 @@ class ExactGreedySolver final : public Solver {
                               "O(n (fill + solve) + k n) sparse",
                 .max_recommended_n = 0}) {}
 
-  StatusOr<SolveOutput> Solve(const Graph& graph, int k,
-                              const CfcmOptions& options) const override {
+  StatusOr<CfcmResult> Solve(const Graph& graph, int k,
+                             const CfcmOptions& options,
+                             WarmIo* /*warm*/) const override {
     StatusOr<ExactGreedyResult> result =
         ExactGreedyMaximize(graph, k, options);
     if (!result.ok()) return result.status();
-    SolveOutput out;
+    CfcmResult out;
     out.selected = std::move(result->selected);
     out.seconds = result->seconds;
     out.solver_backend = SolverBackendName(result->backend);
@@ -127,12 +102,13 @@ class ApproxGreedySolver final : public Solver {
                 .complexity = "O(k eps^-2 log n) Laplacian solves",
                 .max_recommended_n = 0}) {}
 
-  StatusOr<SolveOutput> Solve(const Graph& graph, int k,
-                              const CfcmOptions& options) const override {
+  StatusOr<CfcmResult> Solve(const Graph& graph, int k,
+                             const CfcmOptions& options,
+                             WarmIo* /*warm*/) const override {
     StatusOr<ApproxGreedyResult> result =
         ApproxGreedyMaximize(graph, k, options);
     if (!result.ok()) return result.status();
-    SolveOutput out;
+    CfcmResult out;
     out.selected = std::move(result->selected);
     out.seconds = result->seconds;
     out.solver_calls = result->solver_calls;
@@ -154,12 +130,13 @@ class DegreeSolver final : public Solver {
                 .complexity = "O(n log n)",
                 .max_recommended_n = 0}) {}
 
-  StatusOr<SolveOutput> Solve(const Graph& graph, int k,
-                              const CfcmOptions& options) const override {
+  StatusOr<CfcmResult> Solve(const Graph& graph, int k,
+                             const CfcmOptions& options,
+                             WarmIo* /*warm*/) const override {
     (void)options;
     CFCM_RETURN_IF_ERROR(ValidateCfcmArguments(graph, k));
     Timer timer;
-    SolveOutput out;
+    CfcmResult out;
     out.selected = DegreeSelect(graph, k);
     out.seconds = timer.Seconds();
     return out;
@@ -179,11 +156,12 @@ class TopCfccSolver final : public Solver {
                 .complexity = "O(n^3) dense / sampled above n = 512",
                 .max_recommended_n = 0}) {}
 
-  StatusOr<SolveOutput> Solve(const Graph& graph, int k,
-                              const CfcmOptions& options) const override {
+  StatusOr<CfcmResult> Solve(const Graph& graph, int k,
+                             const CfcmOptions& options,
+                             WarmIo* /*warm*/) const override {
     CFCM_RETURN_IF_ERROR(ValidateCfcmArguments(graph, k));
     Timer timer;
-    SolveOutput out;
+    CfcmResult out;
     out.selected = graph.num_nodes() <= kDenseHeuristicMaxN
                        ? TopCfccSelectExact(graph, k)
                        : TopCfccSelectEstimated(graph, k, options);
@@ -204,11 +182,12 @@ class OptimumSolver final : public Solver {
                 .complexity = "O(C(n, k) n^2); rejects n > 128",
                 .max_recommended_n = 128}) {}
 
-  StatusOr<SolveOutput> Solve(const Graph& graph, int k,
-                              const CfcmOptions& options) const override {
+  StatusOr<CfcmResult> Solve(const Graph& graph, int k,
+                             const CfcmOptions& options,
+                             WarmIo* /*warm*/) const override {
     StatusOr<OptimumResult> result = OptimumSearch(graph, k, options);
     if (!result.ok()) return result.status();
-    SolveOutput out;
+    CfcmResult out;
     out.selected = std::move(result->best);
     out.seconds = result->seconds;
     out.solver_backend = SolverBackendName(result->backend);

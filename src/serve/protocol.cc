@@ -768,20 +768,18 @@ JsonValue ServeHandler::HandleSolve(const JsonValue& request,
       // algebra (pure samplers / heuristics).
       {"solver_backend", solve->output.solver_backend},
       {"cfcc", solve->cfcc},
-      {"forests", solve->output.total_forests},
-      {"walk_steps", solve->output.total_walk_steps},
-      {"rescored_candidates", solve->output.rescored_candidates},
-      {"forests_reused", solve->output.forests_reused},
       // Incremental warm-start diagnostics (DESIGN.md §16).
       {"warm", cfcm::WarmModeName(warm_mode)},
       {"warm_started", solve->output.warm_started},
       {"cold_fallback", solve->output.cold_fallback},
-      {"forests_resampled", solve->output.forests_resampled},
-      {"swap_moves", solve->output.swap_moves},
       // Solver cost of the result; on a hit this is the original solve's
       // time, not this request's latency.
       {"seconds", solve->output.seconds},
   };
+  cfcm::ForEachWorkCounter(solve->output,
+                           [&response](const char* name, int64_t value) {
+                             response[name] = JsonValue(value);
+                           });
   if (cache_state == "stale") {
     // The answer describes an ancestor graph; the composed factors
     // bound the current C(S) of ITS group: C' ∈ [lo·C, hi·C].

@@ -41,10 +41,24 @@ CfcmOptions Opts(uint64_t seed, int threads = 1) {
   return options;
 }
 
+/// ForestSolveWithWarm through a WarmIo built from `mode` and `state`;
+/// a non-null `deposit` receives the successor WarmState.
+StatusOr<CfcmResult> WarmSolve(const Graph& g, int k, const CfcmOptions& o,
+                               WarmMode mode,
+                               std::shared_ptr<const WarmState> state,
+                               std::shared_ptr<const WarmState>* deposit) {
+  WarmIo io;
+  io.mode = mode;
+  io.state = std::move(state);
+  StatusOr<CfcmResult> result = ForestSolveWithWarm(g, k, o, &io);
+  if (deposit != nullptr) *deposit = std::move(io.deposit);
+  return result;
+}
+
 /// Cold solve that also returns the deposited successor WarmState.
 StatusOr<CfcmResult> ColdSolve(const Graph& g, int k, const CfcmOptions& o,
                                std::shared_ptr<const WarmState>* deposit) {
-  return ForestSolveWithWarm(g, k, o, WarmMode::kOff, nullptr, deposit);
+  return WarmSolve(g, k, o, WarmMode::kOff, nullptr, deposit);
 }
 
 // ------------------------------------------- identity-delta parity (§16)
@@ -61,7 +75,7 @@ void ExpectIdentityParity(const Graph& g, int k, uint64_t seed) {
   const GraphDelta empty;
   const auto advanced = AdvanceWarmState(*deposit, g, empty);
   const auto warm =
-      ForestSolveWithWarm(g, k, options, WarmMode::kOn, advanced, nullptr);
+      WarmSolve(g, k, options, WarmMode::kOn, advanced, nullptr);
   ASSERT_TRUE(warm.ok());
   EXPECT_TRUE(warm->warm_started) << "seed " << seed;
   EXPECT_FALSE(warm->cold_fallback);
@@ -104,7 +118,7 @@ TEST(WarmIdentityParityTest, NoOpReweightIsIdentity) {
   const auto advanced = AdvanceWarmState(*deposit, g, noop);
   EXPECT_TRUE(advanced->touched.empty());
   const auto warm =
-      ForestSolveWithWarm(*g2, 4, options, WarmMode::kOn, advanced, nullptr);
+      WarmSolve(*g2, 4, options, WarmMode::kOn, advanced, nullptr);
   ASSERT_TRUE(warm.ok());
   EXPECT_TRUE(warm->warm_started);
   EXPECT_EQ(warm->selected, cold->selected);
@@ -144,7 +158,7 @@ TEST(WarmQualityTest, SmallReweightWithinColdSeedSpread) {
     ASSERT_TRUE(ColdSolve(g, k, options, &deposit).ok());
     const auto advanced = AdvanceWarmState(*deposit, g, delta);
     const auto warm =
-        ForestSolveWithWarm(*g2, k, options, WarmMode::kOn, advanced, nullptr);
+        WarmSolve(*g2, k, options, WarmMode::kOn, advanced, nullptr);
     ASSERT_TRUE(warm.ok());
     EXPECT_TRUE(warm->warm_started) << "seed " << seed;
     const double warm_cfcc = ExactGroupCfcc(*g2, warm->selected);
@@ -168,7 +182,7 @@ TEST(WarmDeterminismTest, ThreadCountInvariant) {
     ASSERT_TRUE(ColdSolve(g, 6, options, &deposit).ok());
     const auto advanced = AdvanceWarmState(*deposit, g, delta);
     const auto warm =
-        ForestSolveWithWarm(*g2, 6, options, WarmMode::kOn, advanced, nullptr);
+        WarmSolve(*g2, 6, options, WarmMode::kOn, advanced, nullptr);
     ASSERT_TRUE(warm.ok());
     EXPECT_TRUE(warm->warm_started) << "threads " << threads;
     if (reference.empty()) {
@@ -224,7 +238,7 @@ TEST(DecideWarmTest, OversizedDeltaFallsBackCold) {
 
   // A kOn solve still succeeds — cold, with the fallback reported.
   const auto solved =
-      ForestSolveWithWarm(*g2, 4, options, WarmMode::kOn, advanced, nullptr);
+      WarmSolve(*g2, 4, options, WarmMode::kOn, advanced, nullptr);
   ASSERT_TRUE(solved.ok());
   EXPECT_FALSE(solved->warm_started);
   EXPECT_TRUE(solved->cold_fallback);
@@ -341,7 +355,7 @@ TEST(AdvanceWarmStateTest, NodeAdditionCarriesNoArenaButStaysWarm) {
   EXPECT_TRUE(decision.use_warm) << decision.reason;
 
   const auto warm =
-      ForestSolveWithWarm(*g2, 4, options, WarmMode::kOn, advanced, nullptr);
+      WarmSolve(*g2, 4, options, WarmMode::kOn, advanced, nullptr);
   ASSERT_TRUE(warm.ok());
   EXPECT_TRUE(warm->warm_started);
 }
@@ -361,7 +375,7 @@ TEST(WarmModeTest, NamesRoundTrip) {
 TEST(WarmModeTest, AutoWithoutStateIsColdNotFallback) {
   const Graph g = KarateClub();
   const auto solved =
-      ForestSolveWithWarm(g, 4, Opts(1), WarmMode::kAuto, nullptr, nullptr);
+      WarmSolve(g, 4, Opts(1), WarmMode::kAuto, nullptr, nullptr);
   ASSERT_TRUE(solved.ok());
   EXPECT_FALSE(solved->warm_started);
   EXPECT_FALSE(solved->cold_fallback);  // nothing existed to fall back from
@@ -382,7 +396,7 @@ TEST(WarmModeTest, WarmSolveDepositsSuccessorState) {
   auto advanced = AdvanceWarmState(*deposit, g, d1);
   std::shared_ptr<const WarmState> redeposit;
   const auto warm1 =
-      ForestSolveWithWarm(*g1, 4, options, WarmMode::kOn, advanced, &redeposit);
+      WarmSolve(*g1, 4, options, WarmMode::kOn, advanced, &redeposit);
   ASSERT_TRUE(warm1.ok());
   EXPECT_TRUE(warm1->warm_started);
   ASSERT_NE(redeposit, nullptr);
@@ -393,7 +407,7 @@ TEST(WarmModeTest, WarmSolveDepositsSuccessorState) {
   ASSERT_TRUE(g2.ok());
   advanced = AdvanceWarmState(*redeposit, *g1, d2);
   const auto warm2 =
-      ForestSolveWithWarm(*g2, 4, options, WarmMode::kOn, advanced, nullptr);
+      WarmSolve(*g2, 4, options, WarmMode::kOn, advanced, nullptr);
   ASSERT_TRUE(warm2.ok());
   EXPECT_TRUE(warm2->warm_started);
 }

@@ -1,7 +1,7 @@
 // Lazy-greedy (CELF) selection layer (DESIGN.md §13).
 //
 // 1. LazyHeap is a deterministic indexed max-heap: (key desc, id asc),
-//    in-place re-keying, O(1) membership.
+//    O(1) membership.
 // 2. On the pinned regression graphs the lazy path selects bitwise
 //    identical groups to the exhaustive scan — every seed, unit and
 //    weighted, both sampled solvers, any thread count.
@@ -47,28 +47,10 @@ TEST(LazyHeapTest, PopsInKeyOrderWithIdTieBreak) {
   heap.Push(0, 0.5, 0.5, 0);
   heap.Push(7, 3.0, 3.0, 0);
 
+  ASSERT_TRUE(heap.Contains(1));
   std::vector<NodeId> order;
   while (!heap.empty()) order.push_back(heap.Pop().id);
   EXPECT_EQ(order, (std::vector<NodeId>{7, 1, 5, 3, 0}));
-}
-
-TEST(LazyHeapTest, UpdateReKeysInPlace) {
-  LazyHeap heap;
-  heap.Reset(4);
-  heap.Push(0, 1.0, 1.0, 0);
-  heap.Push(1, 2.0, 2.0, 0);
-  heap.Push(2, 3.0, 3.0, 0);
-  ASSERT_TRUE(heap.Contains(1));
-
-  heap.Update(1, 4.0, 4.0, 1);  // raise above the root
-  EXPECT_EQ(heap.Top().id, 1);
-  EXPECT_EQ(heap.Top().round, 1);
-
-  heap.Update(1, 0.5, 0.5, 2);  // sink below everything
-  EXPECT_EQ(heap.Top().id, 2);
-  EXPECT_EQ(heap.Pop().id, 2);
-  EXPECT_EQ(heap.Pop().id, 0);
-  EXPECT_EQ(heap.Pop().id, 1);
   EXPECT_FALSE(heap.Contains(1));
 }
 

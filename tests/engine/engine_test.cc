@@ -2,6 +2,9 @@
 
 #include <cmath>
 #include <memory>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,8 +17,32 @@
 namespace cfcm::engine {
 namespace {
 
-// Everything except wall-time must match bit-for-bit between a batched
-// and a sequential run of the same job.
+// (wire name, value) of every work counter, in ForEachWorkCounter order.
+std::vector<std::pair<std::string, int64_t>> WorkCounterList(
+    const WorkCounters& counters) {
+  std::vector<std::pair<std::string, int64_t>> list;
+  ForEachWorkCounter(counters, [&list](const char* name, int64_t value) {
+    list.emplace_back(name, value);
+  });
+  return list;
+}
+
+// Everything except wall-time must match bit-for-bit between two solves
+// of the same job.
+void ExpectSameSolve(const CfcmResult& got, const CfcmResult& expected,
+                     const std::string& context) {
+  EXPECT_EQ(got.selected, expected.selected) << context;
+  EXPECT_EQ(WorkCounterList(got), WorkCounterList(expected)) << context;
+  EXPECT_EQ(got.forests_per_iteration, expected.forests_per_iteration)
+      << context;
+  EXPECT_EQ(got.jl_rows, expected.jl_rows) << context;
+  EXPECT_EQ(got.auxiliary_roots, expected.auxiliary_roots) << context;
+  EXPECT_EQ(got.warm_started, expected.warm_started) << context;
+  EXPECT_EQ(got.cold_fallback, expected.cold_fallback) << context;
+  EXPECT_EQ(got.solver_backend, expected.solver_backend) << context;
+}
+
+// Same for whole jobs, e.g. a batched and a sequential run.
 void ExpectSameResult(const StatusOr<JobResult>& batched,
                       const StatusOr<JobResult>& sequential,
                       const std::string& context) {
@@ -28,14 +55,7 @@ void ExpectSameResult(const StatusOr<JobResult>& batched,
   if (const auto* solve = std::get_if<SolveJobResult>(&*batched)) {
     const auto& expected = std::get<SolveJobResult>(*sequential);
     EXPECT_EQ(solve->algorithm, expected.algorithm) << context;
-    EXPECT_EQ(solve->output.selected, expected.output.selected) << context;
-    EXPECT_EQ(solve->output.total_forests, expected.output.total_forests)
-        << context;
-    EXPECT_EQ(solve->output.jl_rows, expected.output.jl_rows) << context;
-    EXPECT_EQ(solve->output.auxiliary_roots, expected.output.auxiliary_roots)
-        << context;
-    EXPECT_EQ(solve->output.solver_calls, expected.output.solver_calls)
-        << context;
+    ExpectSameSolve(solve->output, expected.output, context);
     EXPECT_EQ(solve->cfcc, expected.cfcc) << context;
   } else {
     const auto& eval = std::get<EvaluateJobResult>(*batched);
@@ -109,6 +129,44 @@ TEST(EngineTest, DifferentSeedsAreIndependentJobs) {
   // what determines the output.
   ExpectSameResult(engine.Run(a), ra, "seed 1");
   ExpectSameResult(engine.Run(b), rb, "seed 2");
+}
+
+TEST(EngineTest, EveryRegisteredSolverMatchesItsDirectCall) {
+  // The engine adds no solver-specific path: for each registered
+  // algorithm, Engine::Run returns what Solver::Solve returns without a
+  // warm channel — the same group and the same work counters.
+  Engine engine{KarateClub()};
+  for (const auto& solver : SolverRegistry::Global().solvers()) {
+    const SolveJob job{.algorithm = solver->name(), .k = 3, .seed = 5};
+    CfcmOptions options;
+    options.eps = job.eps;
+    options.seed = job.seed;
+    options.num_threads = 1;
+    const auto direct = solver->Solve(KarateClub(), job.k, options, nullptr);
+    const auto run = engine.Run(job);
+    ASSERT_TRUE(direct.ok() && run.ok()) << solver->name();
+    ExpectSameSolve(std::get<SolveJobResult>(*run).output, *direct,
+                    solver->name());
+  }
+}
+
+TEST(EngineTest, SolverSpanAnnotatesExactlyTheWorkCounters) {
+  Engine engine{KarateClub()};
+  obs::TraceContext trace;
+  const auto run = engine.Run(SolveJob{.algorithm = "forest", .k = 3},
+                              engine.session().snapshot(), &trace);
+  ASSERT_TRUE(run.ok());
+  std::set<std::string> want = {"selection", "warm_started",
+                                "cold_fallback"};
+  for (const auto& [name, value] : WorkCounterList(WorkCounters{})) {
+    want.insert(name);
+  }
+  std::set<std::string> got;
+  for (const auto& span : trace.spans()) {
+    if (span.name != "solver") continue;
+    for (const auto& [key, value] : span.annotations) got.insert(key);
+  }
+  EXPECT_EQ(got, want);
 }
 
 TEST(EngineTest, EvaluateJobAgreesWithExactGroupCfcc) {

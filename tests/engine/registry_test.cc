@@ -69,7 +69,7 @@ TEST(RegistryTest, EverySolverSolvesKarate) {
   options.num_threads = 1;
   options.forest_factor = 4.0;
   for (const auto& solver : SolverRegistry::Global().solvers()) {
-    auto result = solver->Solve(graph, k, options);
+    auto result = solver->Solve(graph, k, options, nullptr);
     ASSERT_TRUE(result.ok()) << solver->name() << ": "
                              << result.status().ToString();
     EXPECT_EQ(result->selected.size(), static_cast<std::size_t>(k))
@@ -89,8 +89,9 @@ TEST(RegistryTest, EverySolverSolvesKarate) {
 TEST(RegistryTest, SolversValidateArguments) {
   const Graph graph = KarateClub();
   for (const auto& solver : SolverRegistry::Global().solvers()) {
-    EXPECT_FALSE(solver->Solve(graph, 0, {}).ok()) << solver->name();
-    EXPECT_FALSE(solver->Solve(graph, graph.num_nodes(), {}).ok())
+    EXPECT_FALSE(solver->Solve(graph, 0, {}, nullptr).ok())
+        << solver->name();
+    EXPECT_FALSE(solver->Solve(graph, graph.num_nodes(), {}, nullptr).ok())
         << solver->name();
   }
 }

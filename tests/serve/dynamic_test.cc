@@ -5,12 +5,14 @@
 // hit again after the inverse delta.
 #include <atomic>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "cfcm/options.h"
 #include "engine/session.h"
 #include "graph/datasets.h"
 #include "graph/delta.h"
@@ -529,6 +531,58 @@ TEST(DynamicServeTest, WarmSolveAfterMutateReportsCountersAndSkipsCache) {
   const JsonValue bad = call(
       R"({"op":"solve","graph":"g","algorithm":"forest","k":3,"warm":"sometimes"})");
   EXPECT_EQ(Field(*bad.Find("error"), "code"), "invalid_argument");
+}
+
+TEST(DynamicServeTest, WarmRequestToSchurSolvesColdAndDepositsNothing) {
+  ServeHandler handler{{}};
+  auto call = [&](const std::string& line) { return handler.HandleLine(line); };
+  ASSERT_EQ(
+      Field(call(R"({"op":"load","graph":"g","source":"karate"})"), "status"),
+      "ok");
+
+  // The engine hands schur the same warm channel as every solver; with
+  // no warm path it answers a plain cold solve, not a fallback.
+  const JsonValue schur = call(
+      R"({"op":"solve","graph":"g","algorithm":"schur","k":3,"eps":0.2,"seed":7,"warm":"on"})");
+  ASSERT_EQ(Field(schur, "status"), "ok") << schur.Serialize();
+  EXPECT_EQ(Field(schur, "warm"), "on");
+  EXPECT_FALSE(schur.Find("warm_started")->as_bool());
+  EXPECT_FALSE(schur.Find("cold_fallback")->as_bool());
+
+  // Nor did it deposit a state: an "auto" forest solve with the same
+  // parameters finds none (kAuto counts a fallback, or warm-starts, only
+  // when a state exists).
+  const JsonValue forest = call(
+      R"({"op":"solve","graph":"g","algorithm":"forest","k":3,"eps":0.2,"seed":7,"warm":"auto"})");
+  ASSERT_EQ(Field(forest, "status"), "ok") << forest.Serialize();
+  EXPECT_FALSE(forest.Find("warm_started")->as_bool());
+  EXPECT_FALSE(forest.Find("cold_fallback")->as_bool());
+}
+
+TEST(DynamicServeTest, SolveResponseCarriesExactlyTheWorkCounters) {
+  ServeHandler handler{{}};
+  auto call = [&](const std::string& line) { return handler.HandleLine(line); };
+  ASSERT_EQ(
+      Field(call(R"({"op":"load","graph":"g","source":"karate"})"), "status"),
+      "ok");
+  const JsonValue solve = call(
+      R"({"op":"solve","graph":"g","algorithm":"forest","k":3,"seed":3})");
+  ASSERT_EQ(Field(solve, "status"), "ok") << solve.Serialize();
+
+  std::set<std::string> want = {
+      "status", "op",   "graph",        "algorithm",     "k",
+      "eps",    "seed", "cache",        "selection",     "selection_mode",
+      "cfcc",   "warm", "warm_started", "cold_fallback", "solver_backend",
+      "seconds"};
+  ForEachWorkCounter(WorkCounters{}, [&](const char* name, int64_t) {
+    want.insert(name);
+    ASSERT_NE(solve.Find(name), nullptr) << name;
+    EXPECT_TRUE(solve.Find(name)->is_int()) << name;
+  });
+  std::set<std::string> got;
+  for (const auto& [key, value] : solve.object()) got.insert(key);
+  EXPECT_EQ(got, want);
+  EXPECT_GT(solve.Find("forests")->as_int(), 0);
 }
 
 TEST(DynamicServeTest, StalenessAnswersFromAncestorCacheEntryWithBound) {

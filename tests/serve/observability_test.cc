@@ -85,6 +85,48 @@ TEST(ObservabilityTest, MetricsOpCountsSolveRequests) {
   EXPECT_GT(IntField(*counters, "runtime.walk_steps"), 0);
 }
 
+TEST(ObservabilityTest, SolveWorkCountersFeedSelectionOrIncrementalMetrics) {
+  ServeHandler handler{{}};
+  LoadKarate(handler, "m7");
+  auto counters = [&handler] {
+    return *Call(handler, R"({"op":"metrics"})").Find("counters");
+  };
+  auto delta = [](const JsonValue& after, const JsonValue& before,
+                  const std::string& key) {
+    return CounterOrZero(after, key) - CounterOrZero(before, key);
+  };
+
+  // A cold solve's work lands under engine.selection.*.
+  const JsonValue c0 = counters();
+  const JsonValue cold = Call(handler, SolveLine("m7", 9));
+  ASSERT_EQ(StrField(cold, "status"), "ok");
+  const JsonValue c1 = counters();
+  EXPECT_EQ(delta(c1, c0, "engine.selection.rescored_candidates"),
+            IntField(cold, "rescored_candidates"));
+  EXPECT_EQ(delta(c1, c0, "engine.selection.heap_pops"),
+            IntField(cold, "heap_pops"));
+  EXPECT_GT(IntField(cold, "rescored_candidates"), 0);
+  EXPECT_EQ(delta(c1, c0, "engine.incremental.warm_starts"), 0);
+
+  // A warm solve's work lands under engine.incremental.* instead.
+  ASSERT_EQ(StrField(Call(handler, R"({"op":"mutate","graph":"m7",)"
+                                   R"("reweight":[[0,1,1.5]]})"),
+                     "status"),
+            "ok");
+  const JsonValue warm = Call(handler, SolveLine("m7", 9, R"(,"warm":"on")"));
+  ASSERT_EQ(StrField(warm, "status"), "ok");
+  ASSERT_TRUE(warm.Find("warm_started")->as_bool());
+  const JsonValue c2 = counters();
+  EXPECT_EQ(delta(c2, c1, "engine.incremental.warm_starts"), 1);
+  EXPECT_EQ(delta(c2, c1, "engine.incremental.forests_reused"),
+            IntField(warm, "forests_reused"));
+  EXPECT_EQ(delta(c2, c1, "engine.incremental.forests_resampled"),
+            IntField(warm, "forests_resampled"));
+  EXPECT_EQ(delta(c2, c1, "engine.incremental.swap_moves"),
+            IntField(warm, "swap_moves"));
+  EXPECT_EQ(delta(c2, c1, "engine.selection.rescored_candidates"), 0);
+}
+
 TEST(ObservabilityTest, MetricsOpPrometheusFormat) {
   ServeHandler handler{{}};
   LoadKarate(handler, "m2");
