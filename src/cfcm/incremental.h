@@ -123,12 +123,17 @@ inline constexpr std::size_t kWarmMaxTouchedEdges = 4096;
 /// one joins the contender pool unconditionally).
 inline constexpr NodeId kWarmMaxNewNodes = 64;
 
+/// Cold-fallback trigger: warm repair is refused when the accumulated
+/// delta touched more than this fraction of the current edge set.
+inline constexpr double kWarmMaxDeltaFraction = 0.25;
+
 /// \brief Packages a finished cold solve into a WarmState.
 ///
 /// `graph` is the solved graph, `result` the solve's output and
-/// `capture` the lazy loop's warm material (moved from). The arena is
-/// adopted only when it actually holds the final refresh round
-/// (an accepted reuse pre-screen final round leaves an older one).
+/// `capture` the lazy loop's warm material (moved from). The captured
+/// arena always holds the final round's forests; it is adopted after a
+/// defensive MatchesRound check against selection[0..k-2] and the
+/// final round's seed.
 std::shared_ptr<const WarmState> BuildWarmState(const Graph& graph,
                                                 const CfcmOptions& options,
                                                 const CfcmResult& result,
@@ -156,8 +161,8 @@ struct WarmDecision {
 
 /// The fallback policy of DESIGN.md §16, exported for tests. `state`
 /// may be null. Checks parameter/k drift, disconnection, the touched
-/// fraction against options.warm_max_delta_fraction, the addition
-/// share, node growth and summary overflow.
+/// fraction against kWarmMaxDeltaFraction, the addition share, node
+/// growth and summary overflow.
 WarmDecision DecideWarm(const Graph& graph, const WarmState* state, int k,
                         const CfcmOptions& options);
 

@@ -9,7 +9,7 @@
 // Bernstein stop). The heap therefore keys candidates on
 // gain * (1 + rel), where rel is the estimator's own per-node
 // empirical-Bernstein relative half-width, and the survival test adds
-// a further (1 + lazy_inflation) drift margin on top. The loop
+// a further (1 + kLazyInflation) drift margin on top. The loop
 // re-scores the top candidates per round through subset-restricted
 // ForestDelta/SchurDelta calls (one predictive batch plus geometric
 // escalation, so a round costs ~one estimator schedule) until the
@@ -66,18 +66,6 @@ class LazyHeap {
   /// Largest entry by (key desc, id asc). Heap must be non-empty.
   const LazyHeapEntry& Top() const { return heap_.front(); }
 
-  /// Second-largest entry (the better of the root's children); nullptr
-  /// when fewer than two entries are present. Used by the reuse
-  /// pre-screen's domination gate.
-  const LazyHeapEntry* Second() const {
-    if (heap_.size() < 2) return nullptr;
-    if (heap_.size() == 2) return &heap_[1];
-    if (heap_[1].key != heap_[2].key) {
-      return heap_[1].key > heap_[2].key ? &heap_[1] : &heap_[2];
-    }
-    return heap_[1].id < heap_[2].id ? &heap_[1] : &heap_[2];
-  }
-
   /// Removes and returns the top entry.
   LazyHeapEntry Pop();
 
@@ -99,6 +87,22 @@ class LazyHeap {
   std::vector<int> pos_;  // node id -> heap index; -1 = absent
 };
 
+/// Cap on the per-node width factor folded into stale keys:
+/// key = gain * (1 + min(rel, kLazyWidthCap)). The raw Bernstein
+/// width is union-bounded over nodes and forests, so for weak
+/// candidates rel is dominated by its log constants (it can reach
+/// 1e2..1e300 as the numerator estimate approaches 0) and would pin
+/// the whole tail to the refresh frontier forever. The cap is the
+/// faithfulness dial: higher values refresh more of the tail (at the
+/// limit every round degenerates to the full refresh, i.e. the
+/// exhaustive argmax), lower values prune harder. The pinned
+/// regression graphs stay bitwise equal across a wide cap range
+/// because their rounds fail the survival test outright and take the
+/// full-refresh path; the value is tuned so the decayed bench graphs
+/// (ba/ws) re-score well under half the candidates. The warm repair
+/// (incremental.cc) folds its refreshed gains with the same cap.
+inline constexpr double kLazyWidthCap = 2.0;
+
 /// Scores rounds 2..k: Delta estimates for the current root set
 /// `s_nodes` under `seed`, restricted by `scope`. ForestCFCM binds this
 /// to ForestDelta; SchurCFCM adds the T-root bookkeeping and dispatches
@@ -109,9 +113,9 @@ using LazyDeltaFn = std::function<DeltaEstimate(
 
 /// \brief Raw material for an incremental WarmState (DESIGN.md §16),
 /// captured as the greedy loop exits: the final per-candidate heap keys
-/// and gains, the final round's stream seed, and — when the final
-/// refresh round filled one — that round's forest arena, moved out so
-/// the successor epoch can replay its clean forests.
+/// and gains, the final round's stream seed, and (k >= 2) that round's
+/// forest arena, moved out so the successor epoch can replay its clean
+/// forests.
 struct WarmCapture {
   std::vector<double> gains;  ///< last-scored gain per node; 0 at selected
   std::vector<double> keys;   ///< width-inflated heap keys; 0 at selected
@@ -119,22 +123,22 @@ struct WarmCapture {
   uint64_t final_seed = 0;    ///< stream seed of greedy round k
                               ///< (options.seed when k == 1)
   ForestArena arena;          ///< final round's forests (k >= 2 only)
-  bool has_arena = false;
 };
 
 /// \brief Runs the full greedy selection (first pick + lazy rounds
 /// 2..k) and returns the same CfcmResult shape as the exhaustive loop.
 ///
-/// `allow_forest_reuse` enables the cross-round reuse pre-screen
-/// (ForestCFCM only: it replays plain S-rooted forests). Timing
-/// (result.seconds) is left at 0 for the caller to stamp. A non-null
-/// `capture` is filled on success (pure out-param; it never changes the
-/// selection).
+/// Every round scores its candidates on fresh forests; within a round
+/// an escalation call replays the round's arena. The unnamed bool is
+/// ignored: it is kept only so existing six-argument callers still
+/// compile. Timing (result.seconds) is left at 0 for the caller to
+/// stamp. A non-null `capture` is filled on success (pure out-param; it
+/// never changes the selection).
 StatusOr<CfcmResult> LazyGreedySelect(const Graph& graph, int k,
                                       const CfcmOptions& options,
                                       ThreadPool& pool,
                                       const LazyDeltaFn& delta_fn,
-                                      bool allow_forest_reuse,
+                                      bool /*ignored*/ = false,
                                       WarmCapture* capture = nullptr);
 
 }  // namespace cfcm

@@ -172,9 +172,8 @@ StatusOr<CfcmResult> SchurCfcmMaximize(const Graph& graph, int k,
       return SchurCfcmExhaustive(graph, k, options, pool, t_all);
     }
     // Lazy mode: the delta binding recomputes T \ S per call (S grows
-    // between rounds). Cross-round forest reuse stays off — the arena
-    // holds (S ∪ T)-rooted forests, and the reuse replay is only sound
-    // for plain S-rooted ones.
+    // between rounds); within a round, escalation replays the arena's
+    // (S ∪ T)-rooted forests.
     StatusOr<CfcmResult> r = LazyGreedySelect(
         graph, k, options, pool,
         [&graph, &options, &pool, &t_all](
@@ -194,8 +193,7 @@ StatusOr<CfcmResult> SchurCfcmMaximize(const Graph& graph, int k,
             return ForestDelta(graph, s_nodes, est, pool, scope);
           }
           return SchurDelta(graph, s_nodes, t_nodes, est, pool, scope);
-        },
-        /*allow_forest_reuse=*/false);
+        });
     if (r.ok()) r->auxiliary_roots = static_cast<int>(t_all.size());
     return r;
   }();

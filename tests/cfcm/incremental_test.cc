@@ -222,8 +222,8 @@ TEST(DecideWarmTest, OversizedDeltaFallsBackCold) {
   std::shared_ptr<const WarmState> deposit;
   ASSERT_TRUE(ColdSolve(g, 4, options, &deposit).ok());
 
-  // Touch well past warm_max_delta_fraction (default 0.25) of karate's
-  // 78 edges.
+  // Touch well past kWarmMaxDeltaFraction (0.25) of karate's 78 edges.
+  static_assert(kWarmMaxDeltaFraction * 78 < 30);
   GraphDelta big;
   const auto edges = g.Edges();
   const std::size_t count = std::min<std::size_t>(30, edges.size());
