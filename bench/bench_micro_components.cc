@@ -1,12 +1,15 @@
 // Google-benchmark micro suite: throughput of the substrate components
 // (Wilson sampling, subtree accumulation, prefix passes, CG, LDLT, JL),
 // including the Schur-root ablation at the kernel level.
+#include <algorithm>
+#include <chrono>
 #include <map>
 
 #include <benchmark/benchmark.h>
 
 #include "cfcm/schur_cfcm.h"
 #include "common/rng.h"
+#include "estimators/jl_kernel.h"
 #include "estimators/phi_estimators.h"
 #include "forest/bfs_tree.h"
 #include "forest/subtree.h"
@@ -16,6 +19,7 @@
 #include "linalg/jl.h"
 #include "linalg/laplacian.h"
 #include "linalg/ldlt.h"
+#include "runtime/mc_runtime.h"
 
 namespace {
 
@@ -121,9 +125,12 @@ void BM_LdltFactorize(benchmark::State& state) {
 }
 BENCHMARK(BM_LdltFactorize)->Arg(100)->Arg(400);
 
+// w = 27 is the JL row count the solvers use at n = 10k (2 log2 n).
+constexpr int kJlRows10k = 27;
+
 void BM_JlColumn(benchmark::State& state) {
-  const cfcm::JlSketch sketch(64, 100000, 9);
-  std::vector<double> out(64);
+  const cfcm::JlSketch sketch(kJlRows10k, 100000, 9);
+  std::vector<double> out(kJlRows10k);
   NodeId v = 0;
   for (auto _ : state) {
     sketch.ColumnInto(v, out.data());
@@ -132,6 +139,35 @@ void BM_JlColumn(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_JlColumn);
+
+void BM_JlForestKernel(benchmark::State& state) {
+  // One forest of the ForestDelta/SchurDelta core on ba:10000,4 with one
+  // executor: Wilson sampling, JL subtree sums, both prefix passes, then
+  // the accumulate fold over every node shard.
+  static const Graph* graph = new Graph(cfcm::BarabasiAlbert(10000, 4, 1));
+  const NodeId n = graph->num_nodes();
+  const cfcm::TreeScaffold scaffold =
+      cfcm::MakeTreeScaffold(*graph, {graph->MaxDegreeNode()});
+  const cfcm::JlSketch sketch(kJlRows10k, n, 5);
+  cfcm::JlForestKernel kernel(*graph, scaffold, sketch, /*seed=*/5,
+                              kJlRows10k, /*slots=*/1);
+  const NodeId shard = cfcm::McRunOptions{}.shard_nodes;
+  std::uint64_t forest = 0;
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(kernel.ProcessForest(0, forest++));
+    for (NodeId begin = 0; begin < n; begin += shard) {
+      kernel.Accumulate(0, begin, std::min(n, begin + shard));
+    }
+    benchmark::ClobberMemory();
+  }
+  const std::chrono::duration<double, std::nano> elapsed =
+      std::chrono::steady_clock::now() - start;
+  state.counters["ns_per_node_row"] =
+      elapsed.count() / (static_cast<double>(state.iterations()) * n *
+                         kJlRows10k);
+}
+BENCHMARK(BM_JlForestKernel)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -40,7 +40,7 @@ std::optional<SelectionMode> ParseSelectionMode(std::string_view name);
 struct CfcmOptions {
   double eps = 0.2;      ///< paper's error parameter epsilon
   uint64_t seed = 1;     ///< base RNG seed (full determinism per seed)
-  int num_threads = 0;   ///< sampling workers; 0 = hardware concurrency
+  int num_threads = 0;   ///< sampling workers; 0 = DefaultPoolWorkers()
                          ///< (ignored when `pool` is set)
 
   /// Borrowed worker pool to run sampling on; nullptr = the shared

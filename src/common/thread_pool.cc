@@ -5,10 +5,13 @@
 
 namespace cfcm {
 
+std::size_t DefaultPoolWorkers() {
+  const std::size_t hardware = std::thread::hardware_concurrency();
+  return hardware > 1 ? hardware - 1 : 1;
+}
+
 ThreadPool::ThreadPool(std::size_t num_threads) {
-  if (num_threads == 0) {
-    num_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
+  if (num_threads == 0) num_threads = DefaultPoolWorkers();
   threads_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {
     threads_.emplace_back([this] { WorkerLoop(); });

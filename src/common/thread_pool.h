@@ -14,6 +14,13 @@
 
 namespace cfcm {
 
+/// Worker count that a pool size of 0 resolves to:
+/// max(1, hardware_concurrency() - 1). The thread that calls ParallelFor
+/// runs chunks too, so this many workers plus the caller fill the
+/// hardware threads without oversubscribing them. (A one-worker pool runs
+/// loops inline on the caller, so a two-thread host gets one executor.)
+std::size_t DefaultPoolWorkers();
+
 /// \brief Minimal fixed-size worker pool.
 ///
 /// The only pattern the library needs is "run f(i) for i in [0, count) and
@@ -31,7 +38,7 @@ namespace cfcm {
 /// nested use can never deadlock on pool capacity.
 class ThreadPool {
  public:
-  /// Creates `num_threads` workers; 0 means std::thread::hardware_concurrency().
+  /// Creates `num_threads` workers; 0 means DefaultPoolWorkers().
   explicit ThreadPool(std::size_t num_threads = 0);
   ~ThreadPool();
 

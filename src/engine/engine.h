@@ -112,7 +112,7 @@ using JobResult = std::variant<SolveJobResult, EvaluateJobResult,
 
 /// Engine-wide policy knobs.
 struct EngineOptions {
-  int num_threads = 0;  ///< batch pool size; 0 = hardware concurrency
+  int num_threads = 0;  ///< batch pool size; 0 = DefaultPoolWorkers()
 
   /// Solve results are scored exactly (dense LDL^T) while the remaining
   /// matrix is at most this large; above it C(S) is Hutchinson-probed.

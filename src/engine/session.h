@@ -108,7 +108,7 @@ class GraphSnapshot {
 class GraphSession {
  public:
   /// Takes ownership of `graph`. `num_threads` sizes the shared pool
-  /// (0 = hardware concurrency); the pool itself is created on first use.
+  /// (0 = DefaultPoolWorkers()); the pool itself is created on first use.
   explicit GraphSession(Graph graph, int num_threads = 0);
 
   /// Variant that runs on a borrowed pool instead of owning one — the

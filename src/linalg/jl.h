@@ -2,6 +2,7 @@
 #ifndef CFCM_LINALG_JL_H_
 #define CFCM_LINALG_JL_H_
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -15,6 +16,12 @@ namespace cfcm {
 /// rows, so the sketch costs 8*ceil(w/64) bytes per node instead of 8*w,
 /// and column extraction is a few bit operations per entry. Deterministic
 /// in (seed).
+///
+/// Sign expansion must stay branch-free. The sign bits are random, so a
+/// `bit ? scale : -scale` select compiles to a branch that mispredicts
+/// about half the time, and ColumnInto runs once per node per forest
+/// (DESIGN.md §4). Entry and ColumnInto share SignedScale, so both yield
+/// exactly the doubles +scale and -scale.
 class JlSketch {
  public:
   JlSketch(int num_rows, NodeId num_cols, uint64_t seed);
@@ -27,20 +34,25 @@ class JlSketch {
   double Entry(int j, NodeId v) const {
     const uint64_t word = words_[static_cast<std::size_t>(v) * num_words_ +
                                  static_cast<std::size_t>(j >> 6)];
-    return ((word >> (j & 63)) & 1) != 0 ? scale_ : -scale_;
+    return SignedScale(word, j);
   }
 
   /// out[j] = W(j, v) for all rows j.
   void ColumnInto(NodeId v, double* out) const;
 
-  /// acc[j] += alpha * W(j, v).
-  void AddColumn(NodeId v, double alpha, double* acc) const;
-
  private:
+  // Bit (j mod 64) of `word` set gives +scale, clear gives -scale: the
+  // bit is XORed into the sign bit of -scale.
+  double SignedScale(uint64_t word, int j) const {
+    return std::bit_cast<double>(neg_scale_bits_ ^
+                                 (((word >> (j & 63)) & 1) << 63));
+  }
+
   int num_rows_;
   NodeId num_cols_;
   int num_words_;
   double scale_;
+  uint64_t neg_scale_bits_;  // bit pattern of -scale_
   std::vector<uint64_t> words_;  // n * num_words_ sign words
 };
 

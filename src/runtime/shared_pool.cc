@@ -1,10 +1,8 @@
 #include "runtime/shared_pool.h"
 
-#include <algorithm>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <thread>
 
 namespace cfcm {
 
@@ -14,10 +12,9 @@ ThreadPool& SharedThreadPool(int num_threads) {
   static std::mutex* mu = new std::mutex;
   static auto* pools = new std::map<std::size_t, std::unique_ptr<ThreadPool>>;
 
-  const std::size_t resolved =
-      num_threads > 0
-          ? static_cast<std::size_t>(num_threads)
-          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  const std::size_t resolved = num_threads > 0
+                                   ? static_cast<std::size_t>(num_threads)
+                                   : DefaultPoolWorkers();
   std::lock_guard<std::mutex> lock(*mu);
   std::unique_ptr<ThreadPool>& slot = (*pools)[resolved];
   if (!slot) slot = std::make_unique<ThreadPool>(resolved);

@@ -14,7 +14,7 @@
 namespace cfcm {
 
 /// \brief The process-wide pool with `num_threads` workers
-/// (<= 0 resolves to hardware concurrency, matching
+/// (<= 0 resolves to DefaultPoolWorkers(), matching
 /// CfcmOptions::num_threads semantics).
 ///
 /// Pools are created on first use, cached per resolved size, and live for

@@ -27,7 +27,8 @@ struct CatalogOptions {
   std::size_t memory_budget_bytes = 0;
 
   /// Size of the one worker pool shared by every session in the catalog
-  /// (0 = hardware concurrency). Results never depend on it.
+  /// (0 = DefaultPoolWorkers(), one less than the hardware threads).
+  /// Results never depend on it.
   int num_threads = 0;
 };
 

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include "runtime/shared_pool.h"
+
 namespace cfcm {
 namespace {
 
@@ -58,8 +60,14 @@ TEST(ThreadPoolTest, ReusableAcrossCalls) {
 }
 
 TEST(ThreadPoolTest, DefaultUsesHardwareConcurrency) {
+  // The caller runs chunks too, so the default leaves one hardware thread
+  // for it: workers + caller == hardware threads (never fewer than 1).
+  const std::size_t hardware = std::thread::hardware_concurrency();
+  const std::size_t expected = hardware > 1 ? hardware - 1 : 1;
+  EXPECT_EQ(DefaultPoolWorkers(), expected);
   ThreadPool pool;
-  EXPECT_GE(pool.num_threads(), 1u);
+  EXPECT_EQ(pool.num_threads(), expected);
+  EXPECT_EQ(SharedThreadPool(0).num_threads(), expected);
 }
 
 TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {

@@ -1,6 +1,7 @@
 #include "linalg/jl.h"
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -39,12 +40,27 @@ TEST(JlSketchTest, ColumnIntoMatchesEntry) {
   for (int j = 0; j < 70; ++j) EXPECT_EQ(col[j], sketch.Entry(j, 13));
 }
 
-TEST(JlSketchTest, AddColumnAccumulates) {
-  const JlSketch sketch(10, 5, 3);
-  std::vector<double> acc(10, 1.0);
-  sketch.AddColumn(2, 2.0, acc.data());
-  for (int j = 0; j < 10; ++j) {
-    EXPECT_NEAR(acc[j], 1.0 + 2.0 * sketch.Entry(j, 2), 1e-12);
+TEST(JlSketchTest, ColumnIntoBitExactAcrossWordBoundaries) {
+  // Every entry must be exactly the bit pattern of +scale or -scale (so
+  // no -0.0 and no NaN), and ColumnInto must agree with Entry byte for
+  // byte, for row counts on both sides of each 64-bit sign word.
+  for (const int w : {1, 8, 27, 63, 64, 65, 128, 130}) {
+    const JlSketch sketch(w, 40, 17);
+    const double plus = sketch.scale();
+    const double minus = -sketch.scale();
+    ASSERT_GT(plus, 0.0);
+    std::vector<double> col(static_cast<std::size_t>(w));
+    for (NodeId v = 0; v < 40; ++v) {
+      sketch.ColumnInto(v, col.data());
+      for (int j = 0; j < w; ++j) {
+        const double entry = sketch.Entry(j, v);
+        EXPECT_EQ(std::memcmp(&col[j], &entry, sizeof(double)), 0)
+            << "w=" << w << " v=" << v << " j=" << j;
+        EXPECT_TRUE(std::memcmp(&col[j], &plus, sizeof(double)) == 0 ||
+                    std::memcmp(&col[j], &minus, sizeof(double)) == 0)
+            << "w=" << w << " v=" << v << " j=" << j;
+      }
+    }
   }
 }
 

@@ -48,7 +48,7 @@ struct CliOptions {
   cfcm::SelectionMode selection = cfcm::SelectionMode::kLazy;
   cfcm::SolverBackend solver_backend = cfcm::SolverBackend::kAuto;
   int probes = 0;       // EvaluateJob probes (0 = exact)
-  int threads = 0;      // engine pool size; 0 = hardware concurrency
+  int threads = 0;      // engine pool size; 0 = DefaultPoolWorkers()
   int augment = 0;      // edges to add greedily (0 = no augment job)
   std::vector<NodeId> augment_group;          // --group, for --augment
   cfcm::EdgeCandidates candidates = cfcm::EdgeCandidates::kToGroup;
@@ -100,8 +100,9 @@ void PrintUsage(std::FILE* out) {
                "                or 'any' (any non-edge) for --augment\n"
                "  --threads N   worker pool size shared by the job batch and\n"
                "                the sampling inside each job; 0 = hardware\n"
-               "                concurrency (default). Results never depend\n"
-               "                on this value\n"
+               "                threads minus one, since the calling thread\n"
+               "                also runs work (default). Results never\n"
+               "                depend on this value\n"
                "  --lcc         reduce the input to its largest component\n"
                "  --verbose     per-phase timing breakdown on stderr (load,\n"
                "                derived-state build, solver / score phases\n"
@@ -595,7 +596,7 @@ int main(int argc, char** argv) {
   }
 
   cfcm::engine::EngineOptions engine_options;
-  engine_options.num_threads = cli.threads;  // 0 = hardware concurrency
+  engine_options.num_threads = cli.threads;  // 0 = DefaultPoolWorkers()
   // The CLI is a trusted local caller: raise the serving daemon's
   // conservative augment ceiling. 4096 free nodes is a ~134 MB dense
   // inverse and minutes of O(n^3) work — a sane local limit; beyond it

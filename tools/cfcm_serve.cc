@@ -63,6 +63,7 @@ void PrintUsage(std::FILE* out) {
       "  --cache N           result cache capacity in entries (default 1024)\n"
       "  --memory-budget B   catalog byte budget; 0 = unlimited (default)\n"
       "  --threads N         shared sampling pool size; 0 = hardware\n"
+      "                      threads minus one (the caller also runs)\n"
       "  --preload NAME=SPEC define+load a graph at startup (repeatable)\n"
       "  --log-level L       structured stderr logging: debug/info/warn/\n"
       "                      error/off (default warn)\n"
