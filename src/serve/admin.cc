@@ -238,24 +238,9 @@ std::string AdminPlane::HandleRequest(const std::string& method,
       *http_status = 503;
       return "flight recorder disabled\n";
     }
-    JsonValue::Object dump;
-    dump["committed"] = JsonValue(hooks_.flight->committed());
-    dump["capacity"] =
-        JsonValue(static_cast<int64_t>(hooks_.flight->options().capacity));
-    dump["pinned_capacity"] = JsonValue(
-        static_cast<int64_t>(hooks_.flight->options().pinned_capacity));
-    JsonValue::Array records;
-    for (const obs::FlightRecord& record : hooks_.flight->Recent(flight_n)) {
-      records.push_back(FlightRecordJson(record));
-    }
-    dump["records"] = JsonValue(std::move(records));
-    JsonValue::Array pinned;
-    for (const obs::FlightRecord& record : hooks_.flight->Pinned(flight_n)) {
-      pinned.push_back(FlightRecordJson(record));
-    }
-    dump["pinned"] = JsonValue(std::move(pinned));
     *content_type = "application/json";
-    return JsonValue(std::move(dump)).Serialize() + "\n";
+    return JsonValue(FlightDumpJson(*hooks_.flight, flight_n)).Serialize() +
+           "\n";
   }
   *http_status = 404;
   return "not found\n";

@@ -1,7 +1,10 @@
 #include "serve/protocol.h"
 
+#include <algorithm>
 #include <cstdio>
-#include <limits>
+#include <initializer_list>
+#include <iterator>
+#include <mutex>
 #include <optional>
 #include <utility>
 #include <variant>
@@ -9,140 +12,10 @@
 #include "common/build_info.h"
 #include "common/timer.h"
 #include "obs/metrics.h"
+#include "serve/request.h"
 
 namespace cfcm::serve {
 namespace {
-
-// Pulls an integer field with bounds [lo, hi]; `fallback` when absent.
-// Requires an exact JSON integer: a double-stored number would reach
-// as_int() through a float->int cast that is UB outside int64 range
-// (1e300) and silently truncating inside it (3.7 -> 3).
-StatusOr<int64_t> GetInt(const JsonValue& request, const std::string& key,
-                         int64_t fallback, int64_t lo, int64_t hi) {
-  const JsonValue* field = request.Find(key);
-  if (field == nullptr) return fallback;
-  if (!field->is_int()) {
-    return Status::InvalidArgument("'" + key + "' must be an integer");
-  }
-  const int64_t value = field->as_int();
-  if (value < lo || value > hi) {
-    return Status::InvalidArgument("'" + key + "' out of range");
-  }
-  return value;
-}
-
-StatusOr<std::string> GetString(const JsonValue& request,
-                                const std::string& key) {
-  const JsonValue* field = request.Find(key);
-  if (field == nullptr || !field->is_string() || field->as_string().empty()) {
-    return Status::InvalidArgument("request needs a non-empty string '" + key +
-                                   "'");
-  }
-  return field->as_string();
-}
-
-JsonValue::Array GroupToJson(const std::vector<NodeId>& group) {
-  JsonValue::Array array;
-  array.reserve(group.size());
-  for (NodeId u : group) array.emplace_back(static_cast<int64_t>(u));
-  return array;
-}
-
-// A wire node id must fit NodeId exactly — a silent int64 -> int32 (or
-// 0.9 -> 0) truncation would address a DIFFERENT, valid node or edge.
-// Requiring the codec's exact-int64 storage also keeps huge doubles
-// (1e300) away from any UB float->int cast.
-StatusOr<NodeId> GetNodeId(const JsonValue& value, const std::string& field) {
-  if (!value.is_int() || value.as_int() < 0 ||
-      value.as_int() > std::numeric_limits<NodeId>::max()) {
-    return Status::InvalidArgument(
-        "'" + field + "' node ids must be integers in [0, " +
-        std::to_string(std::numeric_limits<NodeId>::max()) + "]");
-  }
-  return static_cast<NodeId>(value.as_int());
-}
-
-// Optional "solver_backend" field (DESIGN.md §14); absent = auto.
-StatusOr<SolverBackend> GetSolverBackend(const JsonValue& request) {
-  const JsonValue* field = request.Find("solver_backend");
-  if (field == nullptr) return SolverBackend::kAuto;
-  if (field->is_string()) {
-    if (const std::optional<SolverBackend> parsed =
-            ParseSolverBackend(field->as_string())) {
-      return *parsed;
-    }
-  }
-  return Status::InvalidArgument(
-      "'solver_backend' must be one of \"auto\", \"dense\" (alias "
-      "\"full\"), \"sparse_ldlt\", \"cg\"");
-}
-
-StatusOr<std::vector<NodeId>> GetGroup(const JsonValue& request) {
-  const JsonValue* field = request.Find("group");
-  if (field == nullptr || !field->is_array()) {
-    return Status::InvalidArgument("'group' must be an array of node ids");
-  }
-  std::vector<NodeId> group;
-  group.reserve(field->array().size());
-  for (const JsonValue& member : field->array()) {
-    StatusOr<NodeId> id = GetNodeId(member, "group");
-    if (!id.ok()) return id.status();
-    group.push_back(*id);
-  }
-  return group;
-}
-
-// Edge-tuple lists for the mutate op: each element is [u, v] or
-// [u, v, w]. `arity` fixes the accepted lengths — removals take no
-// weight, reweights require one, additions accept either (default 1).
-enum class EdgeArity { kPair, kPairOrWeighted, kWeighted };
-
-StatusOr<std::vector<GraphDelta::Edge>> GetEdgeList(const JsonValue& request,
-                                                    const std::string& key,
-                                                    EdgeArity arity) {
-  std::vector<GraphDelta::Edge> edges;
-  const JsonValue* field = request.Find(key);
-  if (field == nullptr) return edges;
-  if (!field->is_array()) {
-    return Status::InvalidArgument("'" + key +
-                                   "' must be an array of [u,v] / [u,v,w]");
-  }
-  for (const JsonValue& member : field->array()) {
-    if (!member.is_array()) {
-      return Status::InvalidArgument("'" + key +
-                                     "' entries must be arrays");
-    }
-    const JsonValue::Array& tuple = member.array();
-    const bool pair_ok = arity != EdgeArity::kWeighted && tuple.size() == 2;
-    const bool weighted_ok =
-        arity != EdgeArity::kPair && tuple.size() == 3;
-    if (!pair_ok && !weighted_ok) {
-      return Status::InvalidArgument(
-          "'" + key + "' entries must have " +
-          (arity == EdgeArity::kPair
-               ? std::string("2")
-               : arity == EdgeArity::kWeighted ? std::string("3")
-                                               : std::string("2 or 3")) +
-          " elements");
-    }
-    GraphDelta::Edge edge;
-    StatusOr<NodeId> u = GetNodeId(tuple[0], key);
-    if (!u.ok()) return u.status();
-    StatusOr<NodeId> v = GetNodeId(tuple[1], key);
-    if (!v.ok()) return v.status();
-    edge.u = *u;
-    edge.v = *v;
-    if (tuple.size() == 3) {
-      if (!tuple[2].is_number()) {
-        return Status::InvalidArgument("'" + key +
-                                       "' weights must be numbers");
-      }
-      edge.weight = tuple[2].as_double();
-    }
-    edges.push_back(edge);
-  }
-  return edges;
-}
 
 // Graph identity block shared by load / mutate / augment responses,
 // built from ONE (snapshot, epoch) pair so the fields are mutually
@@ -181,15 +54,13 @@ JsonValue OkResponse(JsonValue::Object fields) {
 }
 
 JsonValue ErrorResponseFor(const JsonValue& request, const Status& status) {
-  JsonValue::Object response;
-  response["status"] = "error";
-  response["error"] = StatusToJsonError(status);
-  EchoId(request, &response);
-  return JsonValue(std::move(response));
+  JsonValue response = MakeErrorResponse(status, nullptr);
+  EchoId(request, &response.object());
+  return response;
 }
 
-// Always-on per-op instrumentation, resolved once per op per process so
-// the request hot path never takes the registry mutex.
+// Always-on per-op instrumentation: request and error counters plus a
+// latency histogram.
 struct OpMetrics {
   obs::Counter* requests;
   obs::Counter* errors;
@@ -202,47 +73,6 @@ OpMetrics ResolveOpMetrics(const char* op) {
   return OpMetrics{&registry.counter(prefix + ".requests"),
                    &registry.counter(prefix + ".errors"),
                    &registry.histogram(prefix + ".latency_us")};
-}
-
-const OpMetrics& MetricsFor(const std::string& op) {
-  if (op == "solve") {
-    static const OpMetrics m = ResolveOpMetrics("solve");
-    return m;
-  }
-  if (op == "evaluate") {
-    static const OpMetrics m = ResolveOpMetrics("evaluate");
-    return m;
-  }
-  if (op == "mutate") {
-    static const OpMetrics m = ResolveOpMetrics("mutate");
-    return m;
-  }
-  if (op == "augment") {
-    static const OpMetrics m = ResolveOpMetrics("augment");
-    return m;
-  }
-  if (op == "load") {
-    static const OpMetrics m = ResolveOpMetrics("load");
-    return m;
-  }
-  if (op == "unload") {
-    static const OpMetrics m = ResolveOpMetrics("unload");
-    return m;
-  }
-  if (op == "stats") {
-    static const OpMetrics m = ResolveOpMetrics("stats");
-    return m;
-  }
-  if (op == "metrics") {
-    static const OpMetrics m = ResolveOpMetrics("metrics");
-    return m;
-  }
-  if (op == "shutdown") {
-    static const OpMetrics m = ResolveOpMetrics("shutdown");
-    return m;
-  }
-  static const OpMetrics m = ResolveOpMetrics("other");
-  return m;
 }
 
 // {"count","mean_us","p50_us","p95_us","p99_us","max_us"} for the stats
@@ -280,14 +110,6 @@ JsonValue HistogramJson(const obs::LatencyHistogram::Snapshot& h) {
       {"p99", h.Percentile(0.99)},
       {"buckets", JsonValue(std::move(buckets))},
   });
-}
-
-uint64_t CounterValue(const obs::MetricsSnapshot& snapshot,
-                      std::string_view name) {
-  for (const auto& [n, v] : snapshot.counters) {
-    if (n == name) return v;
-  }
-  return 0;
 }
 
 // Renders the collected spans into the response. `pre_ns` is the time
@@ -402,15 +224,11 @@ JsonValue ServeHandler::Handle(const JsonValue& request) {
 JsonValue ServeHandler::Handle(const JsonValue& request,
                                const RequestInfo& info,
                                RequestOutcome* outcome) {
-  if (!request.is_object()) {
-    if (outcome != nullptr) {
-      outcome->ok = false;
-      outcome->error_code = "invalid_argument";
-    }
-    return MakeErrorResponse(
-        Status::InvalidArgument("request must be a JSON object"), nullptr);
-  }
-  StatusOr<std::string> op = GetString(request, "op");
+  // A non-object request has no id to echo.
+  StatusOr<std::string> op =
+      request.is_object() ? DecodeRequiredString(request, "op")
+                          : StatusOr<std::string>(Status::InvalidArgument(
+                                "request must be a JSON object"));
   if (!op.ok()) {
     if (outcome != nullptr) {
       outcome->ok = false;
@@ -453,49 +271,64 @@ JsonValue ServeHandler::Handle(const JsonValue& request,
   obs::FlightRecord record{};
   obs::FlightRecord* record_ptr = flight_on ? &record : nullptr;
 
+  // One table drives dispatch, the per-op metrics and the unknown-op
+  // message. An unknown op is counted in the extra last slot, "other".
+  using OpHandler = JsonValue (ServeHandler::*)(
+      const JsonValue&, obs::TraceContext*, obs::FlightRecord*);
+  static constexpr std::pair<const char*, OpHandler> kOps[] = {
+      {"load", &ServeHandler::HandleLoad},
+      {"unload", &ServeHandler::HandleUnload},
+      {"solve", &ServeHandler::HandleSolve},
+      {"evaluate", &ServeHandler::HandleEvaluate},
+      {"mutate", &ServeHandler::HandleMutate},
+      {"augment", &ServeHandler::HandleAugment},
+      {"stats", &ServeHandler::HandleStats},
+      {"metrics", &ServeHandler::HandleMetrics},
+      {"flightz", &ServeHandler::HandleFlightz},
+      {"shutdown", &ServeHandler::HandleShutdown},
+  };
+  constexpr std::size_t kNumOps = std::size(kOps);
+  const auto* entry = std::find_if(
+      std::begin(kOps), std::end(kOps),
+      [&op](const auto& candidate) { return *op == candidate.first; });
+  const std::size_t op_index = entry - std::begin(kOps);
+
   Timer timer;
-  JsonValue response = [&]() -> JsonValue {
-    if (*op == "load") return HandleLoad(request, trace_ptr, record_ptr);
-    if (*op == "unload") return HandleUnload(request);
-    if (*op == "solve") return HandleSolve(request, trace_ptr, record_ptr);
-    if (*op == "evaluate") {
-      return HandleEvaluate(request, trace_ptr, record_ptr);
+  JsonValue response;
+  if (entry != std::end(kOps)) {
+    response = (this->*entry->second)(request, trace_ptr, record_ptr);
+  } else {
+    std::string expected;
+    for (const auto& [name, handle] : kOps) {
+      expected += (expected.empty() ? "" : "/") + std::string(name);
     }
-    if (*op == "mutate") return HandleMutate(request, trace_ptr, record_ptr);
-    if (*op == "augment") return HandleAugment(request, trace_ptr, record_ptr);
-    if (*op == "stats") return HandleStats();
-    if (*op == "metrics") return HandleMetrics(request);
-    if (*op == "flightz") return HandleFlightz(request);
-    if (*op == "shutdown") {
-      shutdown_.store(true, std::memory_order_release);
-      return OkResponse({{"op", "shutdown"}});
-    }
-    return ErrorResponseFor(
-        request,
-        Status::InvalidArgument(
-            "unknown op '" + *op +
-            "' (expected load/unload/solve/evaluate/mutate/augment/stats/"
-            "metrics/flightz/shutdown)"));
-  }();
+    response = ErrorResponseFor(
+        request, Status::InvalidArgument("unknown op '" + *op +
+                                         "' (expected " + expected + ")"));
+  }
 
   // Whole-request latency: transport phases plus the handler itself.
   const int64_t total_us = pre_ns / 1000 + timer.Micros();
-  const OpMetrics& metrics = MetricsFor(*op);
+  // Each op's metrics are registered on its first request, so the
+  // registry lists only ops that were seen, and then read without the
+  // registry mutex.
+  static std::once_flag resolved[kNumOps + 1];
+  static OpMetrics op_metrics[kNumOps + 1];
+  std::call_once(resolved[op_index], [op_index] {
+    op_metrics[op_index] =
+        ResolveOpMetrics(op_index < kNumOps ? kOps[op_index].first : "other");
+  });
+  const OpMetrics& metrics = op_metrics[op_index];
   metrics.requests->Add(1);
   metrics.latency_us->Record(total_us);
 
-  const JsonValue* status = response.is_object() ? response.Find("status")
-                                                 : nullptr;
+  const JsonValue* status = response.Find("status");
   const bool ok = status != nullptr && status->is_string() &&
                   status->as_string() == "ok";
   if (!ok) metrics.errors->Add(1);
   std::string error_code;
-  if (!ok) {
-    const JsonValue* error = response.is_object() ? response.Find("error")
-                                                  : nullptr;
-    const JsonValue* code =
-        error != nullptr && error->is_object() ? error->Find("code")
-                                               : nullptr;
+  if (const JsonValue* error = response.Find("error"); !ok && error) {
+    const JsonValue* code = error->Find("code");
     if (code != nullptr && code->is_string()) error_code = code->as_string();
   }
   if (slo_ != nullptr) slo_->Record(*op, total_us, ok);
@@ -541,9 +374,9 @@ JsonValue ServeHandler::Handle(const JsonValue& request,
 JsonValue ServeHandler::HandleLoad(const JsonValue& request,
                                    obs::TraceContext* trace,
                                    obs::FlightRecord* record) {
-  StatusOr<std::string> name = GetString(request, "graph");
+  StatusOr<std::string> name = DecodeRequiredString(request, "graph");
   if (!name.ok()) return ErrorResponseFor(request, name.status());
-  StatusOr<std::string> source = GetString(request, "source");
+  StatusOr<std::string> source = DecodeRequiredString(request, "source");
   if (!source.ok()) return ErrorResponseFor(request, source.status());
 
   Status defined = catalog_.Define(*name, *source);
@@ -567,8 +400,9 @@ JsonValue ServeHandler::HandleLoad(const JsonValue& request,
   return OkResponse(std::move(response));
 }
 
-JsonValue ServeHandler::HandleUnload(const JsonValue& request) {
-  StatusOr<std::string> name = GetString(request, "graph");
+JsonValue ServeHandler::HandleUnload(const JsonValue& request,
+                                     obs::TraceContext*, obs::FlightRecord*) {
+  StatusOr<std::string> name = DecodeRequiredString(request, "graph");
   if (!name.ok()) return ErrorResponseFor(request, name.status());
   Status forgotten = catalog_.Forget(*name);
   if (!forgotten.ok()) return ErrorResponseFor(request, forgotten);
@@ -578,84 +412,16 @@ JsonValue ServeHandler::HandleUnload(const JsonValue& request) {
 JsonValue ServeHandler::HandleSolve(const JsonValue& request,
                                     obs::TraceContext* trace,
                                     obs::FlightRecord* record) {
-  StatusOr<std::string> name = GetString(request, "graph");
+  StatusOr<std::string> name = DecodeRequiredString(request, "graph");
   if (!name.ok()) return ErrorResponseFor(request, name.status());
-  StatusOr<int64_t> k = GetInt(request, "k", 1, 1, 1'000'000'000);
-  if (!k.ok()) return ErrorResponseFor(request, k.status());
-  StatusOr<int64_t> seed = GetInt(request, "seed", 1, 0, INT64_MAX);
-  if (!seed.ok()) return ErrorResponseFor(request, seed.status());
-
-  std::string algorithm = "forest";
-  if (const JsonValue* field = request.Find("algorithm")) {
-    if (!field->is_string()) {
-      return ErrorResponseFor(
-          request, Status::InvalidArgument("'algorithm' must be a string"));
-    }
-    algorithm = field->as_string();
-  }
-  double eps = 0.2;
-  if (const JsonValue* field = request.Find("eps")) {
-    if (!field->is_number()) {
-      return ErrorResponseFor(
-          request, Status::InvalidArgument("'eps' must be a number"));
-    }
-    eps = field->as_double();
-    if (!(eps > 0.0) || eps > 1.0) {
-      return ErrorResponseFor(
-          request, Status::InvalidArgument("'eps' must be in (0, 1]"));
-    }
-  }
-  SelectionMode selection = SelectionMode::kLazy;
-  if (const JsonValue* field = request.Find("selection")) {
-    const std::optional<SelectionMode> parsed =
-        field->is_string() ? ParseSelectionMode(field->as_string())
-                           : std::nullopt;
-    if (!parsed.has_value()) {
-      return ErrorResponseFor(
-          request, Status::InvalidArgument(
-                       "'selection' must be \"lazy\" or \"exhaustive\""));
-    }
-    selection = *parsed;
-  }
-  StatusOr<SolverBackend> backend = GetSolverBackend(request);
-  if (!backend.ok()) return ErrorResponseFor(request, backend.status());
-
-  // Warm-start policy (DESIGN.md §16): "warm" is a bool (true = on,
-  // false = off) or one of "auto"/"on"/"off". Default off — warm
-  // results depend on the session's mutation history.
-  cfcm::WarmMode warm_mode = cfcm::WarmMode::kOff;
-  if (const JsonValue* field = request.Find("warm")) {
-    if (field->is_bool()) {
-      warm_mode = field->as_bool() ? cfcm::WarmMode::kOn : cfcm::WarmMode::kOff;
-    } else if (field->is_string()) {
-      const std::optional<cfcm::WarmMode> parsed =
-          cfcm::ParseWarmMode(field->as_string());
-      if (!parsed.has_value()) {
-        return ErrorResponseFor(
-            request, Status::InvalidArgument(
-                         "'warm' must be a boolean or \"auto\"/\"on\"/"
-                         "\"off\""));
-      }
-      warm_mode = *parsed;
-    } else {
-      return ErrorResponseFor(
-          request, Status::InvalidArgument(
-                       "'warm' must be a boolean or \"auto\"/\"on\"/\"off\""));
-    }
-  }
+  StatusOr<engine::SolveJob> job = DecodeSolveJob(request);
+  if (!job.ok()) return ErrorResponseFor(request, job.status());
   // Staleness-tolerant cache mode: {"staleness":{"max_epochs":E}} lets
   // a miss answer from a ≤E-epoch-old cached entry, with the composed
   // Loewner bound of the intervening (reweight-only) deltas attached.
-  int64_t max_stale_epochs = 0;
-  if (const JsonValue* field = request.Find("staleness")) {
-    if (!field->is_object()) {
-      return ErrorResponseFor(
-          request, Status::InvalidArgument(
-                       "'staleness' must be an object {\"max_epochs\":E}"));
-    }
-    StatusOr<int64_t> max_epochs = GetInt(*field, "max_epochs", 0, 0, 64);
-    if (!max_epochs.ok()) return ErrorResponseFor(request, max_epochs.status());
-    max_stale_epochs = *max_epochs;
+  StatusOr<int64_t> max_stale_epochs = DecodeMaxStaleEpochs(request);
+  if (!max_stale_epochs.ok()) {
+    return ErrorResponseFor(request, max_stale_epochs.status());
   }
 
   std::size_t span = 0;
@@ -675,10 +441,7 @@ JsonValue ServeHandler::HandleSolve(const JsonValue& request,
   const std::shared_ptr<const engine::GraphSnapshot>& snapshot =
       pinned.snapshot;
   if (record != nullptr) record->epoch = pinned.epoch;
-  const ResultCacheKey key{snapshot->fingerprint(), algorithm,
-                           static_cast<int>(*k), eps,
-                           static_cast<uint64_t>(*seed), selection,
-                           *backend};
+  const ResultCacheKey key = CacheKeyFor(snapshot->fingerprint(), *job);
   std::string cache_state = "hit";
   std::optional<engine::SolveJobResult> solve = cache_.Lookup(key);
   if (trace != nullptr) {
@@ -693,30 +456,22 @@ JsonValue ServeHandler::HandleSolve(const JsonValue& request,
   int64_t stale_depth = 0;
   double stale_lo = 1.0;
   double stale_hi = 1.0;
-  if (!solve.has_value() && max_stale_epochs > 0) {
+  if (!solve.has_value() && *max_stale_epochs > 0) {
     const std::vector<engine::GraphSession::EpochRecord> history =
         (*session)->EpochHistory();
     double lo = 1.0;
     double hi = 1.0;
     uint64_t epoch_cursor = pinned.epoch;
-    for (int64_t depth = 1; depth <= max_stale_epochs && epoch_cursor > 0;
+    for (int64_t depth = 1; depth <= *max_stale_epochs && epoch_cursor > 0;
          ++depth, --epoch_cursor) {
-      const engine::GraphSession::EpochRecord* rec = nullptr;
-      for (const auto& r : history) {
-        if (r.epoch == epoch_cursor) {
-          rec = &r;
-          break;
-        }
-      }
-      if (rec == nullptr || !rec->boundable) break;
+      const auto rec = std::find_if(
+          history.begin(), history.end(),
+          [epoch_cursor](const auto& r) { return r.epoch == epoch_cursor; });
+      if (rec == history.end() || !rec->boundable) break;
       lo *= rec->cfcc_lo;
       hi *= rec->cfcc_hi;
-      ResultCacheKey ancestor_key{rec->parent_fingerprint, algorithm,
-                                  static_cast<int>(*k), eps,
-                                  static_cast<uint64_t>(*seed), selection,
-                                  *backend};
       std::optional<engine::SolveJobResult> stale =
-          cache_.Lookup(ancestor_key);
+          cache_.Lookup(CacheKeyFor(rec->parent_fingerprint, *job));
       if (stale.has_value()) {
         solve = std::move(stale);
         cache_state = "stale";
@@ -731,15 +486,7 @@ JsonValue ServeHandler::HandleSolve(const JsonValue& request,
   if (!solve.has_value()) {
     cache_state = "miss";
     engine::Engine engine{*session, options_.engine};
-    engine::SolveJob job;
-    job.algorithm = algorithm;
-    job.k = static_cast<int>(*k);
-    job.eps = eps;
-    job.seed = static_cast<uint64_t>(*seed);
-    job.selection = selection;
-    job.solver_backend = *backend;
-    job.warm = warm_mode;
-    StatusOr<engine::JobResult> result = engine.Run(job, snapshot, trace);
+    StatusOr<engine::JobResult> result = engine.Run(*job, snapshot, trace);
     if (!result.ok()) return ErrorResponseFor(request, result.status());
     solve = std::get<engine::SolveJobResult>(std::move(*result));
     // A warm result depends on the session's mutation history, not just
@@ -755,21 +502,22 @@ JsonValue ServeHandler::HandleSolve(const JsonValue& request,
   JsonValue::Object response{
       {"op", "solve"},
       {"graph", *name},
-      {"algorithm", algorithm},
-      {"k", *k},
-      {"eps", eps},
-      {"seed", *seed},
+      {"algorithm", job->algorithm},
+      {"k", job->k},
+      {"eps", job->eps},
+      {"seed", job->seed},
       {"cache", cache_state},
       // "selection" (the chosen group) predates the mode field; the
       // strategy rides alongside as "selection_mode".
-      {"selection", JsonValue(GroupToJson(solve->output.selected))},
-      {"selection_mode", SelectionModeName(selection)},
+      {"selection", JsonValue(JsonValue::Array(solve->output.selected.begin(),
+                                               solve->output.selected.end()))},
+      {"selection_mode", SelectionModeName(job->selection)},
       // Resolved exact kernel; empty when the algorithm never ran exact
       // algebra (pure samplers / heuristics).
       {"solver_backend", solve->output.solver_backend},
       {"cfcc", solve->cfcc},
       // Incremental warm-start diagnostics (DESIGN.md §16).
-      {"warm", cfcm::WarmModeName(warm_mode)},
+      {"warm", cfcm::WarmModeName(job->warm)},
       {"warm_started", solve->output.warm_started},
       {"cold_fallback", solve->output.cold_fallback},
       // Solver cost of the result; on a hit this is the original solve's
@@ -797,17 +545,10 @@ JsonValue ServeHandler::HandleSolve(const JsonValue& request,
 JsonValue ServeHandler::HandleEvaluate(const JsonValue& request,
                                        obs::TraceContext* trace,
                                        obs::FlightRecord* record) {
-  StatusOr<std::string> name = GetString(request, "graph");
+  StatusOr<std::string> name = DecodeRequiredString(request, "graph");
   if (!name.ok()) return ErrorResponseFor(request, name.status());
-  StatusOr<int64_t> probes = GetInt(request, "probes", 0, 0, 1'000'000);
-  if (!probes.ok()) return ErrorResponseFor(request, probes.status());
-  StatusOr<int64_t> seed = GetInt(request, "seed", 1, 0, INT64_MAX);
-  if (!seed.ok()) return ErrorResponseFor(request, seed.status());
-
-  StatusOr<std::vector<NodeId>> group = GetGroup(request);
-  if (!group.ok()) return ErrorResponseFor(request, group.status());
-  StatusOr<SolverBackend> backend = GetSolverBackend(request);
-  if (!backend.ok()) return ErrorResponseFor(request, backend.status());
+  StatusOr<engine::EvaluateJob> job = DecodeEvaluateJob(request);
+  if (!job.ok()) return ErrorResponseFor(request, job.status());
 
   std::size_t span = 0;
   if (trace != nullptr) span = trace->BeginSpan("acquire");
@@ -816,15 +557,11 @@ JsonValue ServeHandler::HandleEvaluate(const JsonValue& request,
   if (!session.ok()) return ErrorResponseFor(request, session.status());
 
   engine::Engine engine{*session, options_.engine};
-  engine::EvaluateJob job;
-  job.group = std::move(*group);
-  job.probes = static_cast<int>(*probes);
-  job.seed = static_cast<uint64_t>(*seed);
-  job.solver_backend = *backend;
   const engine::GraphSession::VersionedSnapshot pinned =
       (*session)->versioned_snapshot();
   if (record != nullptr) record->epoch = pinned.epoch;
-  StatusOr<engine::JobResult> result = engine.Run(job, pinned.snapshot, trace);
+  StatusOr<engine::JobResult> result =
+      engine.Run(std::move(*job), pinned.snapshot, trace);
   if (!result.ok()) return ErrorResponseFor(request, result.status());
   const auto& eval = std::get<engine::EvaluateJobResult>(*result);
 
@@ -841,40 +578,14 @@ JsonValue ServeHandler::HandleEvaluate(const JsonValue& request,
 JsonValue ServeHandler::HandleMutate(const JsonValue& request,
                                      obs::TraceContext* trace,
                                      obs::FlightRecord* record) {
-  StatusOr<std::string> name = GetString(request, "graph");
+  StatusOr<std::string> name = DecodeRequiredString(request, "graph");
   if (!name.ok()) return ErrorResponseFor(request, name.status());
-  // Bounded per request: node additions allocate CSR arrays up front,
-  // before the catalog's post-mutation byte re-charge can evict.
-  StatusOr<int64_t> add_nodes =
-      GetInt(request, "add_nodes", 0, 0, 1'000'000);
-  if (!add_nodes.ok()) return ErrorResponseFor(request, add_nodes.status());
-  StatusOr<std::vector<GraphDelta::Edge>> removes =
-      GetEdgeList(request, "remove", EdgeArity::kPair);
-  if (!removes.ok()) return ErrorResponseFor(request, removes.status());
-  StatusOr<std::vector<GraphDelta::Edge>> reweights =
-      GetEdgeList(request, "reweight", EdgeArity::kWeighted);
-  if (!reweights.ok()) return ErrorResponseFor(request, reweights.status());
-  StatusOr<std::vector<GraphDelta::Edge>> adds =
-      GetEdgeList(request, "add", EdgeArity::kPairOrWeighted);
-  if (!adds.ok()) return ErrorResponseFor(request, adds.status());
-
-  GraphDelta delta;
-  delta.AddNodes(static_cast<NodeId>(*add_nodes));
-  for (const GraphDelta::Edge& e : *removes) delta.RemoveEdge(e.u, e.v);
-  for (const GraphDelta::Edge& e : *reweights) {
-    delta.ReweightEdge(e.u, e.v, e.weight);
-  }
-  for (const GraphDelta::Edge& e : *adds) delta.AddEdge(e.u, e.v, e.weight);
-  if (delta.empty()) {
-    return ErrorResponseFor(
-        request, Status::InvalidArgument(
-                     "mutate needs at least one of add_nodes/add/remove/"
-                     "reweight"));
-  }
+  StatusOr<GraphDelta> delta = DecodeGraphDelta(request);
+  if (!delta.ok()) return ErrorResponseFor(request, delta.status());
 
   std::size_t span = 0;
   if (trace != nullptr) span = trace->BeginSpan("commit");
-  auto mutated = catalog_.Mutate(*name, delta);
+  auto mutated = catalog_.Mutate(*name, *delta);
   if (trace != nullptr) trace->EndSpan(span);
   if (!mutated.ok()) return ErrorResponseFor(request, mutated.status());
   if (record != nullptr) record->epoch = mutated->installed.epoch;
@@ -884,10 +595,11 @@ JsonValue ServeHandler::HandleMutate(const JsonValue& request,
       {"graph", *name},
       {"applied",
        JsonValue(JsonValue::Object{
-           {"add_nodes", *add_nodes},
-           {"add", static_cast<int64_t>(adds->size())},
-           {"remove", static_cast<int64_t>(removes->size())},
-           {"reweight", static_cast<int64_t>(reweights->size())},
+           {"add_nodes", delta->add_nodes()},
+           {"add", static_cast<int64_t>(delta->add_edges().size())},
+           {"remove", static_cast<int64_t>(delta->remove_edges().size())},
+           {"reweight",
+            static_cast<int64_t>(delta->reweight_edges().size())},
        })},
   };
   // Summarize the exact snapshot THIS delta installed — not the
@@ -900,34 +612,11 @@ JsonValue ServeHandler::HandleMutate(const JsonValue& request,
 JsonValue ServeHandler::HandleAugment(const JsonValue& request,
                                       obs::TraceContext* trace,
                                       obs::FlightRecord* record) {
-  StatusOr<std::string> name = GetString(request, "graph");
+  StatusOr<std::string> name = DecodeRequiredString(request, "graph");
   if (!name.ok()) return ErrorResponseFor(request, name.status());
-  StatusOr<std::vector<NodeId>> group = GetGroup(request);
-  if (!group.ok()) return ErrorResponseFor(request, group.status());
-  StatusOr<int64_t> k = GetInt(request, "k", 1, 1, 1'000'000);
-  if (!k.ok()) return ErrorResponseFor(request, k.status());
-
-  EdgeCandidates candidates = EdgeCandidates::kToGroup;
-  if (const JsonValue* field = request.Find("candidates")) {
-    if (!field->is_string() ||
-        (field->as_string() != "group" && field->as_string() != "any")) {
-      return ErrorResponseFor(
-          request,
-          Status::InvalidArgument("'candidates' must be \"group\" or "
-                                  "\"any\""));
-    }
-    if (field->as_string() == "any") candidates = EdgeCandidates::kAny;
-  }
   bool apply = false;
-  if (const JsonValue* field = request.Find("apply")) {
-    if (!field->is_bool()) {
-      return ErrorResponseFor(
-          request, Status::InvalidArgument("'apply' must be a boolean"));
-    }
-    apply = field->as_bool();
-  }
-  StatusOr<SolverBackend> backend = GetSolverBackend(request);
-  if (!backend.ok()) return ErrorResponseFor(request, backend.status());
+  StatusOr<engine::AugmentJob> job = DecodeAugmentJob(request, &apply);
+  if (!job.ok()) return ErrorResponseFor(request, job.status());
 
   std::size_t span = 0;
   if (trace != nullptr) span = trace->BeginSpan("acquire");
@@ -936,11 +625,6 @@ JsonValue ServeHandler::HandleAugment(const JsonValue& request,
   if (!session.ok()) return ErrorResponseFor(request, session.status());
 
   engine::Engine engine{*session, options_.engine};
-  engine::AugmentJob job;
-  job.group = std::move(*group);
-  job.k = static_cast<int>(*k);
-  job.candidates = candidates;
-  job.solver_backend = *backend;
   const engine::GraphSession::VersionedSnapshot pinned =
       (*session)->versioned_snapshot();
   const std::shared_ptr<const engine::GraphSnapshot>& snapshot =
@@ -949,30 +633,24 @@ JsonValue ServeHandler::HandleAugment(const JsonValue& request,
   // Re-derive the admission budget the engine will apply, so a refusal
   // can carry machine-readable details alongside the human message.
   const engine::AugmentBudget budget = engine::CheckAugmentBudget(
-      options_.engine, snapshot->num_nodes(), job.group.size(), job.k,
-      job.solver_backend, job.candidates);
-  StatusOr<engine::JobResult> result = engine.Run(job, snapshot, trace);
+      options_.engine, snapshot->num_nodes(), job->group.size(), job->k,
+      job->solver_backend, job->candidates);
+  StatusOr<engine::JobResult> result = engine.Run(*job, snapshot, trace);
   if (!result.ok()) {
+    JsonValue response = ErrorResponseFor(request, result.status());
     if (!budget.admitted) {
-      JsonValue::Object error;
-      error["code"] = StatusCodeName(result.status().code());
-      error["message"] = result.status().message();
-      error["details"] = JsonValue(JsonValue::Object{
-          {"reason", "augment_work_budget"},
-          {"backend", SolverBackendName(budget.backend)},
-          {"n", static_cast<int64_t>(snapshot->num_nodes())},
-          {"remaining", static_cast<int64_t>(budget.remaining)},
-          {"limit", static_cast<int64_t>(budget.limit)},
-          {"k", *k},
-          {"k_limit", static_cast<int64_t>(budget.k_limit)},
-      });
-      JsonValue::Object response;
-      response["status"] = "error";
-      response["error"] = JsonValue(std::move(error));
-      EchoId(request, &response);
-      return JsonValue(std::move(response));
+      response.object()["error"].object()["details"] =
+          JsonValue(JsonValue::Object{
+              {"reason", "augment_work_budget"},
+              {"backend", SolverBackendName(budget.backend)},
+              {"n", static_cast<int64_t>(snapshot->num_nodes())},
+              {"remaining", static_cast<int64_t>(budget.remaining)},
+              {"limit", static_cast<int64_t>(budget.limit)},
+              {"k", job->k},
+              {"k_limit", static_cast<int64_t>(budget.k_limit)},
+          });
     }
-    return ErrorResponseFor(request, result.status());
+    return response;
   }
   const auto& augment = std::get<engine::AugmentJobResult>(*result);
 
@@ -991,8 +669,9 @@ JsonValue ServeHandler::HandleAugment(const JsonValue& request,
   JsonValue::Object response{
       {"op", "augment"},
       {"graph", *name},
-      {"k", *k},
-      {"candidates", candidates == EdgeCandidates::kAny ? "any" : "group"},
+      {"k", job->k},
+      {"candidates",
+       job->candidates == EdgeCandidates::kAny ? "any" : "group"},
       {"added", JsonValue(std::move(added))},
       {"initial_trace", augment.initial_trace},
       {"trace_after", JsonValue(std::move(trace_after))},
@@ -1020,7 +699,8 @@ JsonValue ServeHandler::HandleAugment(const JsonValue& request,
   return OkResponse(std::move(response));
 }
 
-JsonValue ServeHandler::HandleStats() {
+JsonValue ServeHandler::HandleStats(const JsonValue&, obs::TraceContext*,
+                                   obs::FlightRecord*) {
   const ResultCacheStats cache = cache_.stats();
   JsonValue::Object cache_json{
       {"hits", cache.hits},
@@ -1061,17 +741,30 @@ JsonValue ServeHandler::HandleStats() {
   // per process) the two views describe the same traffic.
   const obs::MetricsSnapshot observed = obs::MetricsRegistry::Global()
                                             .snapshot();
-  const uint64_t cache_hits = CounterValue(observed, "serve.cache.hits");
-  const uint64_t cache_misses = CounterValue(observed, "serve.cache.misses");
+  const auto counter = [&observed](const std::string& name) -> int64_t {
+    for (const auto& [n, v] : observed.counters) {
+      if (n == name) return static_cast<int64_t>(v);
+    }
+    return 0;
+  };
+  // {name: counter <prefix><name>} for each name.
+  const auto counters = [&counter](const std::string& prefix,
+                                   std::initializer_list<const char*> names) {
+    JsonValue::Object block;
+    for (const char* name : names) block[name] = counter(prefix + name);
+    return block;
+  };
+  JsonValue::Object cache_counters =
+      counters("serve.cache.", {"hits", "misses", "evictions"});
+  cache_counters["lookups"] =
+      cache_counters["hits"].as_int() + cache_counters["misses"].as_int();
   JsonValue::Object requests_json;
   JsonValue::Object latency_json;
   for (const char* op : {"solve", "evaluate", "mutate", "augment"}) {
     const std::string prefix = std::string("serve.") + op;
     requests_json[op] = JsonValue(JsonValue::Object{
-        {"total",
-         static_cast<int64_t>(CounterValue(observed, prefix + ".requests"))},
-        {"errors",
-         static_cast<int64_t>(CounterValue(observed, prefix + ".errors"))},
+        {"total", counter(prefix + ".requests")},
+        {"errors", counter(prefix + ".errors")},
     });
     for (const auto& [name, histogram] : observed.histograms) {
       if (name == prefix + ".latency_us") {
@@ -1080,65 +773,24 @@ JsonValue ServeHandler::HandleStats() {
     }
   }
   JsonValue::Object observed_json{
-      {"cache",
-       JsonValue(JsonValue::Object{
-           {"hits", static_cast<int64_t>(cache_hits)},
-           {"misses", static_cast<int64_t>(cache_misses)},
-           {"lookups", static_cast<int64_t>(cache_hits + cache_misses)},
-           {"evictions",
-            static_cast<int64_t>(
-                CounterValue(observed, "serve.cache.evictions"))},
-       })},
-      {"catalog",
-       JsonValue(JsonValue::Object{
-           {"loads",
-            static_cast<int64_t>(
-                CounterValue(observed, "serve.catalog.loads"))},
-           {"evictions",
-            static_cast<int64_t>(
-                CounterValue(observed, "serve.catalog.evictions"))},
-           {"mutations",
-            static_cast<int64_t>(
-                CounterValue(observed, "serve.catalog.mutations"))},
-       })},
+      {"cache", JsonValue(std::move(cache_counters))},
+      {"catalog", JsonValue(counters("serve.catalog.",
+                                     {"loads", "evictions", "mutations"}))},
       {"requests", JsonValue(std::move(requests_json))},
       {"latency", JsonValue(std::move(latency_json))},
-      // The PR 8 sparse-solver counters, from the same coherent snapshot
-      // as everything else in this block.
+      // The PR 8 sparse-solver counters and the incremental warm-start
+      // counters (DESIGN.md §16), from the same coherent snapshot as
+      // everything else in this block.
       {"engine",
        JsonValue(JsonValue::Object{
            {"linalg",
-            JsonValue(JsonValue::Object{
-                {"factorizations",
-                 static_cast<int64_t>(CounterValue(
-                     observed, "engine.linalg.factorizations"))},
-                {"solves",
-                 static_cast<int64_t>(
-                     CounterValue(observed, "engine.linalg.solves"))},
-                {"cg_iterations",
-                 static_cast<int64_t>(CounterValue(
-                     observed, "engine.linalg.cg_iterations"))},
-            })},
-           // The incremental warm-start counters (DESIGN.md §16), same
-           // coherent snapshot.
+            JsonValue(counters("engine.linalg.", {"factorizations", "solves",
+                                                  "cg_iterations"}))},
            {"incremental",
-            JsonValue(JsonValue::Object{
-                {"forests_reused",
-                 static_cast<int64_t>(CounterValue(
-                     observed, "engine.incremental.forests_reused"))},
-                {"forests_resampled",
-                 static_cast<int64_t>(CounterValue(
-                     observed, "engine.incremental.forests_resampled"))},
-                {"warm_starts",
-                 static_cast<int64_t>(CounterValue(
-                     observed, "engine.incremental.warm_starts"))},
-                {"cold_fallbacks",
-                 static_cast<int64_t>(CounterValue(
-                     observed, "engine.incremental.cold_fallbacks"))},
-                {"swap_moves",
-                 static_cast<int64_t>(CounterValue(
-                     observed, "engine.incremental.swap_moves"))},
-            })},
+            JsonValue(counters("engine.incremental.",
+                               {"forests_reused", "forests_resampled",
+                                "warm_starts", "cold_fallbacks",
+                                "swap_moves"}))},
        })},
   };
 
@@ -1168,21 +820,14 @@ JsonValue ServeHandler::HandleStats() {
   return OkResponse(std::move(response));
 }
 
-JsonValue ServeHandler::HandleMetrics(const JsonValue& request) {
-  std::string format = "json";
-  if (const JsonValue* field = request.Find("format")) {
-    if (!field->is_string() || (field->as_string() != "json" &&
-                                field->as_string() != "prometheus")) {
-      return ErrorResponseFor(
-          request, Status::InvalidArgument(
-                       "'format' must be \"json\" or \"prometheus\""));
-    }
-    format = field->as_string();
-  }
+JsonValue ServeHandler::HandleMetrics(const JsonValue& request,
+                                     obs::TraceContext*, obs::FlightRecord*) {
+  StatusOr<std::string> format = DecodeMetricsFormat(request);
+  if (!format.ok()) return ErrorResponseFor(request, format.status());
 
   const obs::MetricsSnapshot snapshot =
       obs::MetricsRegistry::Global().snapshot();
-  if (format == "prometheus") {
+  if (*format == "prometheus") {
     return OkResponse({
         {"op", "metrics"},
         {"format", "prometheus"},
@@ -1209,34 +854,24 @@ JsonValue ServeHandler::HandleMetrics(const JsonValue& request) {
   });
 }
 
-JsonValue ServeHandler::HandleFlightz(const JsonValue& request) {
+JsonValue ServeHandler::HandleFlightz(const JsonValue& request,
+                                     obs::TraceContext*, obs::FlightRecord*) {
   if (flight_ == nullptr) {
     return ErrorResponseFor(
         request, Status::FailedPrecondition(
                      "flight recorder disabled (flight capacity 0)"));
   }
-  StatusOr<int64_t> n = GetInt(request, "n", 64, 1, 4096);
+  StatusOr<std::size_t> n = DecodeFlightCount(request);
   if (!n.ok()) return ErrorResponseFor(request, n.status());
+  JsonValue::Object response = FlightDumpJson(*flight_, *n);
+  response["op"] = "flightz";
+  return OkResponse(std::move(response));
+}
 
-  JsonValue::Array records;
-  for (const obs::FlightRecord& record :
-       flight_->Recent(static_cast<std::size_t>(*n))) {
-    records.push_back(FlightRecordJson(record));
-  }
-  JsonValue::Array pinned;
-  for (const obs::FlightRecord& record :
-       flight_->Pinned(static_cast<std::size_t>(*n))) {
-    pinned.push_back(FlightRecordJson(record));
-  }
-  return OkResponse({
-      {"op", "flightz"},
-      {"committed", flight_->committed()},
-      {"capacity", static_cast<int64_t>(flight_->options().capacity)},
-      {"pinned_capacity",
-       static_cast<int64_t>(flight_->options().pinned_capacity)},
-      {"records", JsonValue(std::move(records))},
-      {"pinned", JsonValue(std::move(pinned))},
-  });
+JsonValue ServeHandler::HandleShutdown(const JsonValue&, obs::TraceContext*,
+                                       obs::FlightRecord*) {
+  shutdown_.store(true, std::memory_order_release);
+  return OkResponse({{"op", "shutdown"}});
 }
 
 JsonValue FlightRecordJson(const obs::FlightRecord& record) {
@@ -1264,6 +899,26 @@ JsonValue FlightRecordJson(const obs::FlightRecord& record) {
     json["error_code"] = std::string(record.error_code);
   }
   return JsonValue(std::move(json));
+}
+
+JsonValue::Object FlightDumpJson(const obs::FlightRecorder& flight,
+                                 std::size_t n) {
+  JsonValue::Array records;
+  for (const obs::FlightRecord& record : flight.Recent(n)) {
+    records.push_back(FlightRecordJson(record));
+  }
+  JsonValue::Array pinned;
+  for (const obs::FlightRecord& record : flight.Pinned(n)) {
+    pinned.push_back(FlightRecordJson(record));
+  }
+  return JsonValue::Object{
+      {"committed", flight.committed()},
+      {"capacity", static_cast<int64_t>(flight.options().capacity)},
+      {"pinned_capacity",
+       static_cast<int64_t>(flight.options().pinned_capacity)},
+      {"records", JsonValue(std::move(records))},
+      {"pinned", JsonValue(std::move(pinned))},
+  };
 }
 
 }  // namespace cfcm::serve

@@ -4,16 +4,18 @@
 //   load     {"op":"load","graph":<name>,"source":<spec>}
 //   unload   {"op":"unload","graph":<name>}
 //   solve    {"op":"solve","graph":<name>,"algorithm":<reg name>,
-//             "k":<int>,"eps":<double>,"seed":<int>} — optional
-//             "warm":true|false|"auto"|"on"|"off" runs the forest
-//             solver's incremental warm-start pipeline (DESIGN.md §16;
-//             warm results are never cached), and optional
+//             "k":<int>,"eps":<double>,"seed":<int>,
+//             "selection":"lazy"|"exhaustive",
+//             "solver_backend":"auto"|"dense"|"full"|"sparse_ldlt"|"cg"}
+//             — optional "warm":true|false|"auto"|"on"|"off" runs the
+//             forest solver's incremental warm-start pipeline (DESIGN.md
+//             §16; warm results are never cached), and optional
 //             "staleness":{"max_epochs":E} lets a cache miss answer
 //             from a ≤E-epoch-old entry ("cache":"stale") with the
 //             composed reweight bound C' ∈ [lo·C, hi·C] attached
 //             under "staleness".
 //   evaluate {"op":"evaluate","graph":<name>,"group":[ids],
-//             "probes":<int>,"seed":<int>}
+//             "probes":<int>,"seed":<int>,"solver_backend":<backend>}
 //   mutate   {"op":"mutate","graph":<name>,"add_nodes":<int>,
 //             "add":[[u,v],[u,v,w],...],"remove":[[u,v],...],
 //             "reweight":[[u,v,w],...]} — applies a GraphDelta
@@ -22,7 +24,8 @@
 //             entries stay sound for free: the cache key is the content
 //             fingerprint, which the mutation changes.
 //   augment  {"op":"augment","graph":<name>,"group":[ids],"k":<int>,
-//             "candidates":"group"|"any","apply":<bool>} — greedy edge
+//             "candidates":"group"|"any","apply":<bool>,
+//             "solver_backend":<backend>} — greedy edge
 //             addition maximizing C(S) (paper §VI); with "apply":true
 //             the chosen edges are applied as a mutation afterwards.
 //             Dense algorithm: rejected when n - |group| or k exceeds
@@ -39,6 +42,9 @@
 //             (DESIGN.md §15); same records as the admin plane's
 //             /flightz endpoint.
 //   shutdown {"op":"shutdown"}
+// The fields of solve/evaluate/augment/mutate/flightz/metrics are
+// decoded by serve/request.h, the same decoders cfcm_cli and
+// `cfcm_serve client` use; their defaults and bounds are listed there.
 // Every request may carry an "id" member, echoed verbatim in the
 // response so pipelined clients can match replies; a string "trace_id"
 // member is echoed the same way. Any solve/evaluate/mutate/augment/load
@@ -179,9 +185,12 @@ class ServeHandler {
   obs::SloTracker* slo_tracker() { return slo_.get(); }
 
  private:
+  // Every op handler takes the same arguments, so one table can dispatch
+  // them; handlers that neither trace nor record ignore the last two.
   JsonValue HandleLoad(const JsonValue& request, obs::TraceContext* trace,
                        obs::FlightRecord* record);
-  JsonValue HandleUnload(const JsonValue& request);
+  JsonValue HandleUnload(const JsonValue& request, obs::TraceContext* trace,
+                         obs::FlightRecord* record);
   JsonValue HandleSolve(const JsonValue& request, obs::TraceContext* trace,
                         obs::FlightRecord* record);
   JsonValue HandleEvaluate(const JsonValue& request, obs::TraceContext* trace,
@@ -190,9 +199,14 @@ class ServeHandler {
                          obs::FlightRecord* record);
   JsonValue HandleAugment(const JsonValue& request, obs::TraceContext* trace,
                           obs::FlightRecord* record);
-  JsonValue HandleStats();
-  JsonValue HandleMetrics(const JsonValue& request);
-  JsonValue HandleFlightz(const JsonValue& request);
+  JsonValue HandleStats(const JsonValue& request, obs::TraceContext* trace,
+                        obs::FlightRecord* record);
+  JsonValue HandleMetrics(const JsonValue& request, obs::TraceContext* trace,
+                          obs::FlightRecord* record);
+  JsonValue HandleFlightz(const JsonValue& request, obs::TraceContext* trace,
+                          obs::FlightRecord* record);
+  JsonValue HandleShutdown(const JsonValue& request, obs::TraceContext* trace,
+                           obs::FlightRecord* record);
 
   HandlerOptions options_;
   SessionCatalog catalog_;
@@ -208,6 +222,12 @@ class ServeHandler {
 /// "queue_wait_us","spans":[{"name","us"}]}) — shared by the flightz op,
 /// the admin plane's /flightz endpoint, and the daemon's SIGTERM dump.
 JsonValue FlightRecordJson(const obs::FlightRecord& record);
+
+/// The newest `n` records of each ring plus the recorder's counters
+/// ({"committed","capacity","pinned_capacity","records","pinned"}) —
+/// the body of both the flightz op and the admin plane's /flightz.
+JsonValue::Object FlightDumpJson(const obs::FlightRecorder& flight,
+                                 std::size_t n);
 
 }  // namespace cfcm::serve
 

@@ -41,6 +41,12 @@ uint64_t FnvMix(uint64_t hash, const void* data, std::size_t bytes) {
 
 }  // namespace
 
+ResultCacheKey CacheKeyFor(uint64_t fingerprint, const engine::SolveJob& job) {
+  return ResultCacheKey{fingerprint, job.algorithm,    job.k,
+                        job.eps,     job.seed,         job.selection,
+                        job.solver_backend};
+}
+
 std::size_t ResultCache::KeyHash::operator()(const ResultCacheKey& key) const {
   uint64_t hash = kFnvOffset;
   hash = FnvMix(hash, &key.fingerprint, sizeof(key.fingerprint));

@@ -42,6 +42,9 @@ struct ResultCacheKey {
   bool operator==(const ResultCacheKey&) const = default;
 };
 
+/// The key of `job` solved on the graph whose content is `fingerprint`.
+ResultCacheKey CacheKeyFor(uint64_t fingerprint, const engine::SolveJob& job);
+
 /// Monotonic counters surfaced in server responses and `stats`.
 struct ResultCacheStats {
   uint64_t hits = 0;

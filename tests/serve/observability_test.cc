@@ -310,6 +310,27 @@ TEST(ObservabilityTest, FlightzOpReturnsCommittedRecords) {
   EXPECT_EQ(StrField(err, "status"), "error");
 }
 
+// flightz is an op like any other: its requests land in its own
+// counter, not in the "other" bucket kept for unknown ops.
+TEST(ObservabilityTest, FlightzRequestsHaveTheirOwnCounter) {
+  ServeHandler handler{{}};
+  const JsonValue before = Call(handler, R"({"op":"metrics"})");
+  const JsonValue* before_counters = before.Find("counters");
+  ASSERT_NE(before_counters, nullptr);
+
+  ASSERT_EQ(StrField(Call(handler, R"({"op":"flightz","n":4})"), "status"),
+            "ok");
+  ASSERT_EQ(StrField(Call(handler, R"({"op":"flightz"})"), "status"), "ok");
+
+  const JsonValue after = Call(handler, R"({"op":"metrics"})");
+  const JsonValue* counters = after.Find("counters");
+  ASSERT_NE(counters, nullptr);
+  EXPECT_EQ(CounterOrZero(*counters, "serve.flightz.requests"),
+            CounterOrZero(*before_counters, "serve.flightz.requests") + 2);
+  EXPECT_EQ(CounterOrZero(*counters, "serve.other.requests"),
+            CounterOrZero(*before_counters, "serve.other.requests"));
+}
+
 TEST(ObservabilityTest, StatsStayCoherentUnderConcurrentTraffic) {
   // The regression this PR fixes: stats used to read cache and catalog
   // counters with separate lock acquisitions, so a reader racing live

@@ -15,7 +15,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,6 +28,7 @@
 #include "obs/trace.h"
 #include "serve/json.h"
 #include "serve/protocol.h"
+#include "serve/request.h"
 
 namespace {
 
@@ -37,26 +37,22 @@ using cfcm::NodeId;
 using cfcm::Status;
 using cfcm::StatusOr;
 
+using Flags = std::vector<std::pair<std::string, std::string>>;
+
 struct CliOptions {
   std::string graph_source;
   std::string weighted_spec;  // "lo,hi[,seed]": random conductances
   std::vector<std::string> algorithms;
-  std::vector<std::vector<NodeId>> evaluate_groups;
-  int k = 5;
-  double eps = 0.2;
-  uint64_t seed = 1;
-  cfcm::SelectionMode selection = cfcm::SelectionMode::kLazy;
-  cfcm::SolverBackend solver_backend = cfcm::SolverBackend::kAuto;
-  int probes = 0;       // EvaluateJob probes (0 = exact)
   int threads = 0;      // engine pool size; 0 = DefaultPoolWorkers()
   int augment = 0;      // edges to add greedily (0 = no augment job)
-  std::vector<NodeId> augment_group;          // --group, for --augment
-  cfcm::EdgeCandidates candidates = cfcm::EdgeCandidates::kToGroup;
-  bool candidates_set = false;  // --candidates given explicitly
   bool take_lcc = false;
   bool json = false;
   bool list = false;
   bool verbose = false;
+  // Flags that set wire request fields, in command-line order, and one
+  // "u1,u2,..." per --evaluate; BuildJobs decodes them.
+  Flags request_flags;
+  std::vector<std::string> evaluate_groups;
 };
 
 void PrintUsage(std::FILE* out) {
@@ -125,23 +121,6 @@ using cfcm::SplitString;
 // so CLI output and server output stay byte-compatible.
 using cfcm::serve::JsonEscapeString;
 
-StatusOr<std::vector<NodeId>> ParseGroup(const std::string& spec,
-                                         const char* flag) {
-  std::vector<NodeId> group;
-  for (const std::string& part : SplitString(spec, ',')) {
-    long long value = 0;
-    if (!ParseInt64(part, &value) || value < 0 ||
-        value > std::numeric_limits<NodeId>::max()) {
-      // Narrowing without the range check would silently address a
-      // DIFFERENT valid node (2^32 -> 0).
-      return Status::InvalidArgument("bad node id '" + part + "' in " +
-                                     flag);
-    }
-    group.push_back(static_cast<NodeId>(value));
-  }
-  return group;
-}
-
 // Structured failure shared with the serving protocol: under --json a
 // top-level {"error":{"code","message"}} object goes to stdout (exit
 // stays nonzero) so scripted callers parse one error shape everywhere;
@@ -196,73 +175,99 @@ StatusOr<CliOptions> ParseArgs(int argc, char** argv) {
         options.weighted_spec = *value;
       } else if (arg == "--algo") {
         options.algorithms = SplitString(*value, ',');
-      } else if (arg == "--eps") {
-        if (!ParseFloat64(*value, &options.eps)) {
-          return Status::InvalidArgument("bad number for --eps: '" + *value +
-                                         "'");
-        }
       } else if (arg == "--evaluate") {
-        StatusOr<std::vector<NodeId>> group = ParseGroup(*value, "--evaluate");
-        if (!group.ok()) return group.status();
-        options.evaluate_groups.push_back(std::move(*group));
-      } else if (arg == "--group") {
-        StatusOr<std::vector<NodeId>> group = ParseGroup(*value, "--group");
-        if (!group.ok()) return group.status();
-        options.augment_group = std::move(*group);
-      } else if (arg == "--selection") {
-        const std::optional<cfcm::SelectionMode> parsed =
-            cfcm::ParseSelectionMode(*value);
-        if (!parsed.has_value()) {
-          return Status::InvalidArgument(
-              "--selection must be 'lazy' or 'exhaustive', got '" + *value +
-              "'");
-        }
-        options.selection = *parsed;
-      } else if (arg == "--solver-backend") {
-        const std::optional<cfcm::SolverBackend> parsed =
-            cfcm::ParseSolverBackend(*value);
-        if (!parsed.has_value()) {
-          return Status::InvalidArgument(
-              "--solver-backend must be 'auto', 'dense' (alias 'full'), "
-              "'sparse_ldlt' or 'cg', got '" + *value + "'");
-        }
-        options.solver_backend = *parsed;
-      } else if (arg == "--candidates") {
-        options.candidates_set = true;
-        if (*value == "group") {
-          options.candidates = cfcm::EdgeCandidates::kToGroup;
-        } else if (*value == "any") {
-          options.candidates = cfcm::EdgeCandidates::kAny;
-        } else {
-          return Status::InvalidArgument(
-              "--candidates must be 'group' or 'any', got '" + *value + "'");
-        }
-      } else {
+        options.evaluate_groups.push_back(*value);
+      } else if (arg == "--threads" || arg == "--augment") {
+        // Range-check BEFORE narrowing: a wrapped value would run with an
+        // unintended pool size (2^32 + 1 -> 1) or augment count.
+        const long long lo = arg == "--threads" ? 0 : 1;
         long long number = 0;
-        if (!ParseInt64(*value, &number)) {
-          return Status::InvalidArgument("bad integer for " + arg + ": '" +
-                                         *value + "'");
+        if (!ParseInt64(*value, &number) || number < lo ||
+            number > std::numeric_limits<int>::max()) {
+          return Status::InvalidArgument(
+              arg + " must be an integer in [" + std::to_string(lo) + ", " +
+              std::to_string(std::numeric_limits<int>::max()) + "], got '" +
+              *value + "'");
         }
-        if (arg == "--k") options.k = static_cast<int>(number);
-        if (arg == "--seed") options.seed = static_cast<uint64_t>(number);
-        if (arg == "--probes") options.probes = static_cast<int>(number);
-        if (arg == "--threads") options.threads = static_cast<int>(number);
-        if (arg == "--augment") {
-          // Range-check BEFORE narrowing: a wrapped value would either
-          // silently drop the request (<= 0: no augment job AND no
-          // default solve) or run with an unintended k.
-          if (number < 1 || number > std::numeric_limits<int>::max()) {
-            return Status::InvalidArgument(
-                "--augment must be a positive int, got " + *value);
-          }
-          options.augment = static_cast<int>(number);
-        }
+        int* target = arg == "--threads" ? &options.threads : &options.augment;
+        *target = static_cast<int>(number);
+      } else {
+        // Every other valued flag sets a wire field.
+        options.request_flags.emplace_back(arg.substr(2), *value);
       }
     } else {
       return Status::InvalidArgument("unknown flag '" + arg + "'");
     }
   }
   return options;
+}
+
+// One solve job per --algo name, one evaluate job per --evaluate group
+// and the augment job. Each is decoded from the shared request flags by
+// the protocol's own decoder, so the CLI accepts exactly the values the
+// daemon does.
+StatusOr<std::vector<cfcm::engine::Job>> BuildJobs(const CliOptions& cli) {
+  const auto given = [&cli](const char* flag) {
+    for (const auto& [name, value] : cli.request_flags) {
+      if (name == flag) return true;
+    }
+    return false;
+  };
+  if (cli.augment > 0 && !given("group")) {
+    return Status::InvalidArgument("--augment requires --group u1,u2,...");
+  }
+  if (cli.augment == 0 && (given("group") || given("candidates"))) {
+    // Silently ignoring these and running a default solve would answer
+    // a question the user did not ask.
+    return Status::InvalidArgument("--group/--candidates require --augment N");
+  }
+  const auto decode = [&cli](const char* op, const Flags& extra, auto decoder)
+      -> decltype(decoder(cfcm::serve::JsonValue())) {
+    // The CLI's one default that differs from the wire's: k = 5.
+    Flags flags = {{"k", "5"}};
+    flags.insert(flags.end(), cli.request_flags.begin(),
+                 cli.request_flags.end());
+    flags.insert(flags.end(), extra.begin(), extra.end());
+    StatusOr<cfcm::serve::JsonValue> request =
+        cfcm::serve::RequestFromFlags(op, flags);
+    if (!request.ok()) return request.status();
+    return decoder(*request);
+  };
+
+  std::vector<cfcm::engine::Job> jobs;
+  StatusOr<cfcm::engine::SolveJob> solve =
+      decode("solve", {}, cfcm::serve::DecodeSolveJob);
+  if (!solve.ok()) return solve.status();
+  std::vector<std::string> algorithms = cli.algorithms;
+  if (algorithms.empty() && cli.evaluate_groups.empty() && cli.augment == 0) {
+    algorithms.push_back("forest");
+  }
+  for (const std::string& algorithm : algorithms) {
+    jobs.push_back(*solve);
+    std::get<cfcm::engine::SolveJob>(jobs.back()).algorithm = algorithm;
+  }
+  for (const std::string& group : cli.evaluate_groups) {
+    StatusOr<cfcm::engine::EvaluateJob> job =
+        decode("evaluate", {{"group", group}}, cfcm::serve::DecodeEvaluateJob);
+    if (!job.ok()) {
+      return Status::InvalidArgument("--evaluate " + group + ": " +
+                                     job.status().message());
+    }
+    jobs.push_back(std::move(*job));
+  }
+  if (cli.augment > 0) {
+    const std::string k = std::to_string(cli.augment);
+    StatusOr<cfcm::engine::AugmentJob> job =
+        decode("augment", {{"k", k}}, [](const cfcm::serve::JsonValue& r) {
+          return cfcm::serve::DecodeAugmentJob(r);
+        });
+    if (!job.ok()) {
+      return Status::InvalidArgument("--augment " + k + ": " +
+                                     job.status().message());
+    }
+    jobs.push_back(std::move(*job));
+  }
+  return jobs;
 }
 
 void ListSolvers() {
@@ -474,6 +479,10 @@ int main(int argc, char** argv) {
     }
   }
 
+  StatusOr<std::vector<cfcm::engine::Job>> built = BuildJobs(cli);
+  if (!built.ok()) return FailWith(built.status(), cli.json, 2);
+  const std::vector<cfcm::engine::Job>& jobs = *built;
+
   // One trace carries every phase of the run under --verbose; without it
   // the context sits unused (BeginSpan is never called).
   cfcm::obs::TraceContext trace;
@@ -519,51 +528,6 @@ int main(int argc, char** argv) {
     // Load covers parse/generate + optional reweight + LCC reduction.
     trace.EndSpan(load_span);
     PrintSpans(trace, trace.spans().size() - 1, "");
-  }
-
-  if (cli.augment > 0 && cli.augment_group.empty()) {
-    return FailWith(
-        Status::InvalidArgument("--augment requires --group u1,u2,..."),
-        cli.json, 2);
-  }
-  if (cli.augment == 0 && (!cli.augment_group.empty() || cli.candidates_set)) {
-    // Silently ignoring these and running a default solve would answer
-    // a question the user did not ask.
-    return FailWith(
-        Status::InvalidArgument("--group/--candidates require --augment N"),
-        cli.json, 2);
-  }
-
-  std::vector<cfcm::engine::Job> jobs;
-  std::vector<std::string> algorithms = cli.algorithms;
-  if (algorithms.empty() && cli.evaluate_groups.empty() && cli.augment == 0) {
-    algorithms.push_back("forest");
-  }
-  for (const std::string& algorithm : algorithms) {
-    cfcm::engine::SolveJob job;
-    job.algorithm = algorithm;
-    job.k = cli.k;
-    job.eps = cli.eps;
-    job.seed = cli.seed;
-    job.selection = cli.selection;
-    job.solver_backend = cli.solver_backend;
-    jobs.emplace_back(std::move(job));
-  }
-  for (const std::vector<NodeId>& group : cli.evaluate_groups) {
-    cfcm::engine::EvaluateJob job;
-    job.group = group;
-    job.probes = cli.probes;
-    job.seed = cli.seed;
-    job.solver_backend = cli.solver_backend;
-    jobs.emplace_back(std::move(job));
-  }
-  if (cli.augment > 0) {
-    cfcm::engine::AugmentJob job;
-    job.group = cli.augment_group;
-    job.k = cli.augment;
-    job.candidates = cli.candidates;
-    job.solver_backend = cli.solver_backend;
-    jobs.emplace_back(std::move(job));
   }
 
   // `jobs` keeps the user's numbering for display; `exec_jobs` carries

@@ -35,6 +35,7 @@
 #include "serve/client.h"
 #include "serve/json.h"
 #include "serve/protocol.h"
+#include "serve/request.h"
 #include "serve/server.h"
 
 namespace {
@@ -81,32 +82,26 @@ void PrintUsage(std::FILE* out) {
       "\n"
       "client options:\n"
       "  --host A --port N   server address (port required)\n"
-      "  --op OP             build a request: load/unload/solve/evaluate/\n"
-      "                      mutate/augment/stats/metrics/shutdown, with\n"
-      "                      --graph --source --algo --k --eps --seed\n"
-      "                      --selection lazy|exhaustive (solve)\n"
-      "                      --warm true|false|auto|on|off and\n"
-      "                      --max-stale-epochs E (solve; DESIGN.md §16)\n"
-      "                      --probes --group u1,u2,...\n"
-      "                      mutate: --add u,v[,w] --remove u,v\n"
-      "                      --reweight u,v,w (each repeatable) and\n"
-      "                      --add-nodes N\n"
+      "  --op OP             build one request (load/unload/solve/\n"
+      "                      evaluate/mutate/augment/stats/metrics/flightz/\n"
+      "                      shutdown) from flags decoded like wire fields:\n"
+      "                      load: --graph --source\n"
+      "                      solve: --graph --algo --k --eps --seed\n"
+      "                      --selection lazy|exhaustive --warm true|false|\n"
+      "                      auto|on|off --max-stale-epochs E\n"
+      "                      --solver-backend auto|dense|sparse_ldlt|cg\n"
+      "                      evaluate: --group u1,u2,... --probes --seed\n"
+      "                      mutate: --add u,v[,w] --remove u,v --reweight\n"
+      "                      u,v,w (each repeatable) --add-nodes N\n"
       "                      augment: --group --k --candidates group|any\n"
-      "                      --apply true|false\n"
-      "                      metrics: --format json|prometheus\n"
-      "  --trace true|false  request an inline span breakdown (any op)\n"
+      "                      --apply true|false (and --solver-backend on\n"
+      "                      evaluate/augment); metrics: --format\n"
+      "                      json|prometheus; flightz: --n N\n"
+      "  --trace true|false  inline span breakdown (any op), --trace-id ID\n"
       "  [json ...]          raw request lines; with no --op and no json\n"
       "                      arguments, lines are read from stdin\n"
       "\n"
       "Exit code: nonzero if any response has \"status\":\"error\".\n");
-}
-
-bool ParseLong(const std::string& s, long long* out) {
-  return cfcm::ParseInt64(s, out);
-}
-
-bool ParseDoubleArg(const std::string& s, double* out) {
-  return cfcm::ParseFloat64(s, out);
 }
 
 int RunServe(int argc, char** argv) {
@@ -134,7 +129,7 @@ int RunServe(int argc, char** argv) {
                arg == "--threads" || arg == "--admin-port" ||
                arg == "--flight-capacity" || arg == "--watchdog-ms") {
       const char* value = need_value();
-      if (!ParseLong(value, &number) || number < 0) {
+      if (!cfcm::ParseInt64(value, &number) || number < 0) {
         std::fprintf(stderr, "error: bad value for %s: '%s'\n", arg.c_str(),
                      value);
         return 2;
@@ -195,7 +190,7 @@ int RunServe(int argc, char** argv) {
       cfcm::obs::SetMinLogLevel(level);
     } else if (arg == "--slow-request-ms") {
       const char* value = need_value();
-      if (!ParseLong(value, &number) || number < 0) {
+      if (!cfcm::ParseInt64(value, &number) || number < 0) {
         std::fprintf(stderr, "error: bad value for --slow-request-ms: '%s'\n",
                      value);
         return 2;
@@ -295,134 +290,6 @@ int RunServe(int argc, char** argv) {
   return 0;
 }
 
-// Parses "u,v" or "u,v,w" into a JSON edge tuple for the mutate op.
-// `arity` is 2 (remove), 3 (reweight) or -3 (add: 2 or 3 elements).
-StatusOr<JsonValue> ParseEdgeTuple(const std::string& key,
-                                   const std::string& value, int arity) {
-  const std::vector<std::string> parts = cfcm::SplitString(value, ',');
-  const bool size_ok = arity < 0 ? parts.size() == 2 || parts.size() == 3
-                                 : parts.size() == static_cast<std::size_t>(arity);
-  if (!size_ok) {
-    return Status::InvalidArgument(
-        "--" + key + " expects " +
-        (arity == 2 ? "u,v" : arity == 3 ? "u,v,w" : "u,v or u,v,w") +
-        ", got '" + value + "'");
-  }
-  JsonValue::Array tuple;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (i < 2) {
-      long long id = 0;
-      if (!ParseLong(parts[i], &id)) {
-        return Status::InvalidArgument("bad node id in --" + key + ": '" +
-                                       parts[i] + "'");
-      }
-      tuple.emplace_back(static_cast<int64_t>(id));
-    } else {
-      double weight = 0;
-      if (!ParseDoubleArg(parts[i], &weight)) {
-        return Status::InvalidArgument("bad weight in --" + key + ": '" +
-                                       parts[i] + "'");
-      }
-      tuple.emplace_back(weight);
-    }
-  }
-  return JsonValue(std::move(tuple));
-}
-
-// Builds one request from client --op flags; exits on malformed flags.
-StatusOr<JsonValue> BuildRequest(const std::string& op,
-                                 const std::vector<std::pair<std::string,
-                                                             std::string>>&
-                                     fields) {
-  JsonValue::Object request{{"op", op}};
-  for (const auto& [raw_key, value] : fields) {
-    const std::string key = raw_key == "algo" ? "algorithm" : raw_key;
-    if (key == "graph" || key == "source" || key == "algorithm" ||
-        key == "candidates" || key == "format" || key == "trace-id" ||
-        key == "selection") {
-      request[key == "trace-id" ? "trace_id" : key] = value;
-    } else if (key == "trace") {
-      if (value != "true" && value != "false") {
-        return Status::InvalidArgument("--trace expects true or false, got '" +
-                                       value + "'");
-      }
-      request["trace"] = value == "true";
-    } else if (key == "add" || key == "remove" || key == "reweight") {
-      // Repeatable edge flags accumulate into the op's array field.
-      const int arity = key == "remove" ? 2 : key == "reweight" ? 3 : -3;
-      StatusOr<JsonValue> tuple = ParseEdgeTuple(key, value, arity);
-      if (!tuple.ok()) return tuple.status();
-      if (request.find(key) == request.end()) {
-        request[key] = JsonValue(JsonValue::Array{});
-      }
-      request[key].array().push_back(std::move(*tuple));
-    } else if (key == "add-nodes") {
-      long long number = 0;
-      if (!ParseLong(value, &number) || number < 0) {
-        return Status::InvalidArgument("bad count for --add-nodes: '" +
-                                       value + "'");
-      }
-      request["add_nodes"] = static_cast<int64_t>(number);
-    } else if (key == "warm") {
-      if (value == "true" || value == "false") {
-        request["warm"] = value == "true";
-      } else if (value == "auto" || value == "on" || value == "off") {
-        request["warm"] = value;
-      } else {
-        return Status::InvalidArgument(
-            "--warm expects true/false/auto/on/off, got '" + value + "'");
-      }
-    } else if (key == "max-stale-epochs") {
-      long long number = 0;
-      if (!ParseLong(value, &number) || number < 0) {
-        return Status::InvalidArgument("bad count for --max-stale-epochs: '" +
-                                       value + "'");
-      }
-      request["staleness"] = JsonValue(
-          JsonValue::Object{{"max_epochs", static_cast<int64_t>(number)}});
-    } else if (key == "apply") {
-      if (value != "true" && value != "false") {
-        return Status::InvalidArgument("--apply expects true or false, got '" +
-                                       value + "'");
-      }
-      request["apply"] = value == "true";
-    } else if (key == "k" || key == "seed" || key == "probes") {
-      long long number = 0;
-      if (!ParseLong(value.c_str(), &number)) {
-        return Status::InvalidArgument("bad integer for --" + key + ": '" +
-                                       value + "'");
-      }
-      request[key] = static_cast<int64_t>(number);
-    } else if (key == "eps") {
-      double number = 0;
-      if (!ParseDoubleArg(value.c_str(), &number)) {
-        return Status::InvalidArgument("bad number for --eps: '" + value +
-                                       "'");
-      }
-      request[key] = number;
-    } else if (key == "group") {
-      JsonValue::Array group;
-      std::size_t start = 0;
-      while (start <= value.size()) {
-        std::size_t end = value.find(',', start);
-        if (end == std::string::npos) end = value.size();
-        if (end > start) {
-          long long id = 0;
-          if (!ParseLong(value.substr(start, end - start).c_str(), &id)) {
-            return Status::InvalidArgument("bad node id in --group");
-          }
-          group.emplace_back(static_cast<int64_t>(id));
-        }
-        start = end + 1;
-      }
-      request[key] = JsonValue(std::move(group));
-    } else {
-      return Status::InvalidArgument("unknown client flag --" + raw_key);
-    }
-  }
-  return JsonValue(std::move(request));
-}
-
 int RunClient(int argc, char** argv) {
   std::string host = "127.0.0.1";
   int port = 0;
@@ -446,7 +313,7 @@ int RunClient(int argc, char** argv) {
       host = need_value();
     } else if (arg == "--port") {
       long long number = 0;
-      if (!ParseLong(need_value(), &number) || number <= 0 ||
+      if (!cfcm::ParseInt64(need_value(), &number) || number <= 0 ||
           number > 65535) {
         std::fprintf(stderr, "error: bad --port\n");
         return 2;
@@ -474,7 +341,7 @@ int RunClient(int argc, char** argv) {
 
   std::vector<std::string> requests = raw_lines;
   if (!op.empty()) {
-    StatusOr<JsonValue> request = BuildRequest(op, fields);
+    StatusOr<JsonValue> request = cfcm::serve::RequestFromFlags(op, fields);
     if (!request.ok()) {
       std::fprintf(stderr, "error: %s\n", request.status().ToString().c_str());
       return 2;
