@@ -272,7 +272,7 @@ StatusOr<CfcmResult> ForestSolveWithWarm(const Graph& graph, int k,
 
   if (!decision.use_warm) {
     WarmCapture capture;
-    StatusOr<CfcmResult> cold = ForestCfcmMaximizeCaptured(
+    StatusOr<CfcmResult> cold = ForestCfcmMaximize(
         graph, k, options, (deposit != nullptr && lazy) ? &capture : nullptr);
     if (!cold.ok()) return cold;
     // A fallback is counted when warm solving was in play at all: mode
@@ -390,6 +390,9 @@ StatusOr<CfcmResult> ForestSolveWithWarm(const Graph& graph, int k,
   // ---- Phase B: re-contest earlier members whose incident delta
   // weight is material relative to their weighted degree (drop-one /
   // add-best, one sweep, fresh per-member streams).
+  // Phase B fills its own mask: the successor deposit below folds
+  // Phase A's refreshed gains over Phase A's `mask`.
+  std::vector<char> mask_b(static_cast<std::size_t>(n), 0);
   for (int i = 0; i + 1 < k; ++i) {
     const NodeId s_i = selection[static_cast<std::size_t>(i)];
     double incident = 0.0;
@@ -405,16 +408,16 @@ StatusOr<CfcmResult> ForestSolveWithWarm(const Graph& graph, int k,
     for (int j = 0; j < k; ++j) {
       if (j != i) roots.push_back(selection[static_cast<std::size_t>(j)]);
     }
-    std::fill(mask.begin(), mask.end(), 0);
-    mask[static_cast<std::size_t>(s_i)] = 1;
+    std::fill(mask_b.begin(), mask_b.end(), 0);
+    mask_b[static_cast<std::size_t>(s_i)] = 1;
     for (NodeId c : contenders) {
       if (!in_s[static_cast<std::size_t>(c)]) {
-        mask[static_cast<std::size_t>(c)] = 1;
+        mask_b[static_cast<std::size_t>(c)] = 1;
       }
     }
     for (NodeId u = state.source_n; u < n; ++u) {
       if (!in_s[static_cast<std::size_t>(u)]) {
-        mask[static_cast<std::size_t>(u)] = 1;
+        mask_b[static_cast<std::size_t>(u)] = 1;
       }
     }
 
@@ -423,18 +426,18 @@ StatusOr<CfcmResult> ForestSolveWithWarm(const Graph& graph, int k,
                  (kSwapSeedStep * static_cast<uint64_t>(i + 1)) ^
                  (kSaltStep * salt);
     DeltaScope scope_b;
-    scope_b.subset = &mask;
+    scope_b.subset = &mask_b;
     scope_b.allow_adaptive_exit = true;
     const DeltaEstimate b = ForestDelta(graph, roots, est_b, pool, scope_b);
     result.total_walk_steps += b.walk_steps;
     result.forests_per_iteration.push_back(b.forests);
     result.total_forests += b.forests;
-    for (std::size_t u = 0; u < mask.size(); ++u) {
-      if (mask[u]) ++result.rescored_candidates;
+    for (std::size_t u = 0; u < mask_b.size(); ++u) {
+      if (mask_b[u]) ++result.rescored_candidates;
     }
 
     double best_gain = 0.0;
-    const NodeId best = BestInSubset(b, mask, &best_gain);
+    const NodeId best = BestInSubset(b, mask_b, &best_gain);
     // Swapping an earlier member perturbs the whole greedy chain, so
     // the challenger must clear the incumbent by the swap margin, not
     // just win the draw.

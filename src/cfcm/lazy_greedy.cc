@@ -78,6 +78,24 @@ LazyHeapEntry LazyHeap::Pop() {
 
 namespace {
 
+// Stream seed of greedy round i (1-based rounds 2..k have i = 1..k-1).
+uint64_t RoundSeed(const CfcmOptions& options, int i) {
+  return options.seed + static_cast<uint64_t>(i) * 0x9e3779b9ULL;
+}
+
+// Greedy iteration 1, shared by both selection loops: the argmin of the
+// pseudoinverse diagonal (Alg. 3 lines 1-14), recorded in `result`.
+FirstPickResult SelectFirst(const Graph& graph, const CfcmOptions& options,
+                            ThreadPool& pool, CfcmResult* result) {
+  FirstPickResult first =
+      EstimateFirstPick(graph, ToEstimatorOptions(options), pool);
+  result->selected.push_back(first.best);
+  result->forests_per_iteration.push_back(first.forests);
+  result->total_forests += first.forests;
+  result->total_walk_steps += first.walk_steps;
+  return first;
+}
+
 // Stale candidates re-scored per refresh batch: the floor of every
 // round's first batch and the slack added to the frontier prediction.
 constexpr std::size_t kLazyBatch = 8;
@@ -172,6 +190,40 @@ constexpr double kDecayedForestScale = 0.5;
 
 }  // namespace
 
+StatusOr<CfcmResult> ExhaustiveGreedySelect(const Graph& graph, int k,
+                                            const CfcmOptions& options,
+                                            ThreadPool& pool,
+                                            const LazyDeltaFn& delta_fn) {
+  CFCM_RETURN_IF_ERROR(ValidateCfcmArguments(graph, k));
+  const NodeId n = graph.num_nodes();
+  CfcmResult result;
+  std::vector<char> in_s(static_cast<std::size_t>(n), 0);
+  in_s[SelectFirst(graph, options, pool, &result).best] = 1;
+  // Iterations 2..k: argmax of Delta'(u, S) over every candidate.
+  for (int i = 1; i < k; ++i) {
+    const DeltaEstimate delta =
+        delta_fn(result.selected, RoundSeed(options, i), DeltaScope{});
+    result.jl_rows = delta.jl_rows;
+    result.forests_per_iteration.push_back(delta.forests);
+    result.total_forests += delta.forests;
+    result.total_walk_steps += delta.walk_steps;
+    result.rescored_candidates += n - i;
+
+    NodeId best = -1;
+    double best_delta = -1;
+    for (NodeId u = 0; u < n; ++u) {
+      if (in_s[u]) continue;
+      if (delta.delta[u] > best_delta) {
+        best_delta = delta.delta[u];
+        best = u;
+      }
+    }
+    result.selected.push_back(best);
+    in_s[best] = 1;
+  }
+  return result;
+}
+
 StatusOr<CfcmResult> LazyGreedySelect(const Graph& graph, int k,
                                       const CfcmOptions& options,
                                       ThreadPool& pool,
@@ -180,8 +232,6 @@ StatusOr<CfcmResult> LazyGreedySelect(const Graph& graph, int k,
                                       WarmCapture* capture) {
   CFCM_RETURN_IF_ERROR(ValidateCfcmArguments(graph, k));
   const NodeId n = graph.num_nodes();
-  EstimatorOptions est = ToEstimatorOptions(options);
-
   CfcmResult result;
   LazyHeap heap;
   heap.Reset(n);
@@ -190,17 +240,13 @@ StatusOr<CfcmResult> LazyGreedySelect(const Graph& graph, int k,
   // warm capture.
   double last_pick_gain = 0.0;
 
-  // Iteration 1: argmin of the pseudoinverse diagonal, identical to the
-  // exhaustive path. The full score vector seeds the heap (satellite of
-  // §13): -x_u orders candidates by first-round promise, and round 2
-  // refreshes them all in one call, so no extra estimator pass runs.
+  // Iteration 1 as in the exhaustive loop. The full score vector seeds
+  // the heap (satellite of §13): -x_u orders candidates by first-round
+  // promise, and round 2 refreshes them all in one call, so no extra
+  // estimator pass runs.
   {
-    const FirstPickResult first = EstimateFirstPick(graph, est, pool);
+    const FirstPickResult first = SelectFirst(graph, options, pool, &result);
     last_pick_gain = -first.scores[first.best];
-    result.selected.push_back(first.best);
-    result.forests_per_iteration.push_back(first.forests);
-    result.total_forests += first.forests;
-    result.total_walk_steps += first.walk_steps;
     for (NodeId u = 0; u < n; ++u) {
       if (u != first.best) heap.Push(u, -first.scores[u], -first.scores[u], 0);
     }
@@ -233,8 +279,7 @@ StatusOr<CfcmResult> LazyGreedySelect(const Graph& graph, int k,
   bool decayed = false;
 
   for (int i = 1; i < k; ++i) {
-    const uint64_t seed_i =
-        options.seed + static_cast<uint64_t>(i) * 0x9e3779b9ULL;
+    const uint64_t seed_i = RoundSeed(options, i);
 
     // ---- CELF refresh loop. Fresh gains leave the heap for the round
     // (tracked in `fresh`), so the heap top is always the best *stale*
@@ -405,8 +450,7 @@ StatusOr<CfcmResult> LazyGreedySelect(const Graph& graph, int k,
       capture->keys[static_cast<std::size_t>(e.id)] = e.key;
     }
     capture->last_gain = last_pick_gain;
-    capture->final_seed =
-        options.seed + static_cast<uint64_t>(k - 1) * 0x9e3779b9ULL;
+    capture->final_seed = RoundSeed(options, k - 1);
     if (k >= 2) capture->arena = std::move(arenas[(k - 1) & 1]);
   }
   return result;

@@ -106,7 +106,7 @@ inline constexpr double kLazyWidthCap = 2.0;
 /// Scores rounds 2..k: Delta estimates for the current root set
 /// `s_nodes` under `seed`, restricted by `scope`. ForestCFCM binds this
 /// to ForestDelta; SchurCFCM adds the T-root bookkeeping and dispatches
-/// to SchurDelta.
+/// to SchurDelta. Both selection loops below take the same binding.
 using LazyDeltaFn = std::function<DeltaEstimate(
     const std::vector<NodeId>& s_nodes, uint64_t seed,
     const DeltaScope& scope)>;
@@ -124,6 +124,20 @@ struct WarmCapture {
                               ///< (options.seed when k == 1)
   ForestArena arena;          ///< final round's forests (k >= 2 only)
 };
+
+/// \brief The paper's literal greedy loop (Alg. 3 / Alg. 5 lines 15-18):
+/// the first pick, then every round scores all candidates through
+/// `delta_fn` with a default DeltaScope and takes the argmax (strict
+/// improvement in ascending id order, so ties go to the lower id).
+///
+/// Kept as its own loop, not as a lazy mode, because it is the reference
+/// the lazy path is pinned against (tests/cfcm/lazy_greedy_test.cc).
+/// Counts n - i re-scores per round and never touches a heap or an
+/// arena. Timing (result.seconds) is left at 0 for the caller to stamp.
+StatusOr<CfcmResult> ExhaustiveGreedySelect(const Graph& graph, int k,
+                                            const CfcmOptions& options,
+                                            ThreadPool& pool,
+                                            const LazyDeltaFn& delta_fn);
 
 /// \brief Runs the full greedy selection (first pick + lazy rounds
 /// 2..k) and returns the same CfcmResult shape as the exhaustive loop.

@@ -104,55 +104,41 @@ FirstPickResult EstimateFirstPick(const Graph& graph,
   const double delta = ResolveBernsteinDelta(options, n);
 
   FirstPickKernel kernel(graph, scaffold, options, McScratchSlots(pool));
-  McRunOptions run;
-  run.num_nodes = n;
-
   std::vector<double> sum(static_cast<std::size_t>(n), 0.0);
   std::vector<double> sum_sq(static_cast<std::size_t>(n), 0.0);
 
-  int total = 0;
-  int batch = std::max(1, options.min_batch);
-  while (total < target) {
-    const int current = std::min(batch, target - total);
-    const McRunStats stats = RunForestBatch(
-        pool, run, static_cast<uint64_t>(total), current, kernel);
-    result.walk_steps += stats.walk_steps;
-    kernel.MergeBatch(&sum, &sum_sq);
-    total += current;
-    batch = NextBatchSize(batch, target);
-
-    if (options.adaptive && total < target) {
-      // Selection-resolved stop: the best candidate's upper confidence
-      // bound lies below the runner-up's lower bound. (The paper's
-      // relative criterion is ill-posed here because x_u is a *shifted*
-      // diagonal that can be arbitrarily close to zero; resolving the
-      // argmin is what the first iteration actually needs.)
-      NodeId best = -1, second = -1;
-      for (NodeId u = 0; u < n; ++u) {
-        const double xu = sum[u] / total;
-        if (best == -1 || xu < sum[best] / total) {
-          second = best;
-          best = u;
-        } else if (second == -1 || xu < sum[second] / total) {
-          second = u;
-        }
-      }
-      if (best >= 0 && second >= 0) {
-        auto half_width = [&](NodeId u) {
-          const double sup = 3.0 * scaffold.resistance_depth[u];
-          return EmpiricalBernsteinHalfWidth(total, sum[u], sum_sq[u], sup,
-                                             delta);
-        };
-        const double hb = half_width(best);
-        const double hs = half_width(second);
-        if (sum[best] / total + hb <= sum[second] / total - hs) {
-          result.converged = true;
-          break;
-        }
+  // Selection-resolved stop: the best candidate's upper confidence bound
+  // lies below the runner-up's lower bound. (The paper's relative
+  // criterion is ill-posed here because x_u is a *shifted* diagonal that
+  // can be arbitrarily close to zero; resolving the argmin is what the
+  // first iteration actually needs.)
+  auto resolved = [&](int total) {
+    if (!options.adaptive) return false;
+    NodeId best = -1, second = -1;
+    for (NodeId u = 0; u < n; ++u) {
+      const double xu = sum[u] / total;
+      if (best == -1 || xu < sum[best] / total) {
+        second = best;
+        best = u;
+      } else if (second == -1 || xu < sum[second] / total) {
+        second = u;
       }
     }
-  }
-  result.forests = total;
+    if (best < 0 || second < 0) return false;
+    auto half_width = [&](NodeId u) {
+      const double sup = 3.0 * scaffold.resistance_depth[u];
+      return EmpiricalBernsteinHalfWidth(total, sum[u], sum_sq[u], sup, delta);
+    };
+    return sum[best] / total + half_width(best) <=
+           sum[second] / total - half_width(second);
+  };
+
+  const SampleSchedule schedule = RunSamplingSchedule(
+      pool, n, options, target, kernel,
+      [&] { kernel.MergeBatch(&sum, &sum_sq); }, resolved);
+  result.forests = schedule.forests;
+  result.walk_steps = schedule.walk_steps;
+  result.converged = schedule.converged;
 
   result.scores.assign(static_cast<std::size_t>(n), 0.0);
   for (NodeId u = 0; u < n; ++u) {

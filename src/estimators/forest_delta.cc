@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <functional>
 
 #include "estimators/bernstein.h"
 #include "estimators/jl_kernel.h"
@@ -11,10 +12,33 @@
 
 namespace cfcm {
 
-DeltaEstimate ForestDelta(const Graph& graph,
-                          const std::vector<NodeId>& s_nodes,
-                          const EstimatorOptions& options, ThreadPool& pool) {
-  return ForestDelta(graph, s_nodes, options, pool, DeltaScope{});
+void RunScopedSchedule(const Graph& graph, const std::vector<NodeId>& roots,
+                       const EstimatorOptions& options, ThreadPool& pool,
+                       const DeltaScope& scope, JlForestKernel& kernel,
+                       const std::function<void()>& merge,
+                       const std::function<bool(int)>& stop,
+                       DeltaEstimate* result) {
+  const NodeId n = graph.num_nodes();
+  int target = ResolveTargetForests(options, n);
+  if (scope.forest_scale < 1.0) {
+    target = std::max(std::max(1, options.min_batch),
+                      static_cast<int>(target * scope.forest_scale));
+  }
+  kernel.set_subset(scope.subset);
+  if (scope.arena != nullptr) {
+    scope.arena->BeginRound(n, roots, options.seed, target);
+    kernel.set_arena(scope.arena);
+    if (scope.replay_clean != nullptr) {
+      kernel.set_replay_plan(scope.replay_clean, scope.resample_seed);
+    }
+  }
+  const SampleSchedule schedule =
+      RunSamplingSchedule(pool, n, options, target, kernel, merge, stop);
+  result->forests = schedule.forests;
+  result->walk_steps = schedule.walk_steps;
+  result->converged = schedule.converged;
+  result->reused_forests = kernel.reused_forests();
+  if (scope.arena != nullptr) scope.arena->Commit(schedule.forests);
 }
 
 DeltaEstimate ForestDelta(const Graph& graph,
@@ -25,27 +49,13 @@ DeltaEstimate ForestDelta(const Graph& graph,
   assert(!s_nodes.empty());
   const TreeScaffold scaffold = MakeTreeScaffold(graph, s_nodes);
   const int w = ResolveJlRows(options, n);
-  int target = ResolveTargetForests(options, n);
-  if (scope.forest_scale < 1.0) {
-    target = std::max(std::max(1, options.min_batch),
-                      static_cast<int>(target * scope.forest_scale));
-  }
   const double delta_fail = ResolveBernsteinDelta(options, n);
+  const double log_term = std::log(3.0 / delta_fail);
   const JlSketch sketch(w, n, options.seed ^ 0x9d2c5680a76b3f01ULL);
   const std::vector<char>* subset = scope.subset;
 
   JlForestKernel kernel(graph, scaffold, sketch, options.seed, w,
                         McScratchSlots(pool));
-  kernel.set_subset(subset);
-  if (scope.arena != nullptr) {
-    scope.arena->BeginRound(n, s_nodes, options.seed, target);
-    kernel.set_arena(scope.arena);
-    if (scope.replay_clean != nullptr) {
-      kernel.set_replay_plan(scope.replay_clean, scope.resample_seed);
-    }
-  }
-  McRunOptions run;
-  run.num_nodes = n;
 
   const std::size_t nw = static_cast<std::size_t>(n) * w;
   std::vector<double> sum_x(static_cast<std::size_t>(n), 0.0);
@@ -100,14 +110,9 @@ DeltaEstimate ForestDelta(const Graph& graph,
       result.delta[u] = num / std::max(zu, z_floor);
 
       if (all_converged || fill_rel) {
-        const double sup_x = 2.0 * scaffold.resistance_depth[u];
-        const double hz = EmpiricalBernsteinHalfWidth(r, sum_x[u], sum_sq_x[u],
-                                                      sup_x, delta_fail);
-        const double log_term = std::log(3.0 / delta_fail);
-        const double h_base = 2.0 * log_term * v_tot * inv_r;
-        const double h_num = 2.0 * std::sqrt(num * h_base) + h_base;
-        const double rel =
-            h_num / std::max(num, 1e-300) + hz / std::max(zu, z_floor);
+        const double rel = RelativeHalfWidth(
+            r, sum_x[u], sum_sq_x[u], 2.0 * scaffold.resistance_depth[u],
+            delta_fail, log_term, v_tot, num, zu, z_floor);
         if (fill_rel) result.rel[u] = rel;
         if (rel > rel_cap) all_converged = false;
       }
@@ -115,34 +120,23 @@ DeltaEstimate ForestDelta(const Graph& graph,
     return all_converged;
   };
 
-  int total = 0;
-  int batch = std::max(1, options.min_batch);
-  while (total < target) {
-    const int current = std::min(batch, target - total);
-    const McRunStats stats = RunForestBatch(
-        pool, run, static_cast<uint64_t>(total), current, kernel);
-    result.walk_steps += stats.walk_steps;
-    kernel.MergeBatch(&sum_x, &sum_sq_x, &sum_y, &sum_y_sq);
-    total += current;
-    batch = NextBatchSize(batch, target);
-
-    if (total >= target) break;
-    // Subset-restricted calls run the FULL fixed-target schedule: letting
-    // the stop rule fire on subset convergence alone would exit earlier
-    // than the equivalent full call, and the lazy selection layer needs
-    // subset estimates bitwise exchangeable with full-batch ones
-    // (DESIGN.md §13). The subset still skips the O(w) moment folds and
-    // assembly for excluded nodes.
-    if (options.adaptive && (subset == nullptr || scope.allow_adaptive_exit) &&
-        assemble_and_check(total, /*fill_rel=*/false)) {
-      result.converged = true;
-      break;
-    }
-  }
-  assemble_and_check(total, /*fill_rel=*/true);
-  result.forests = total;
-  result.reused_forests = kernel.reused_forests();
-  if (scope.arena != nullptr) scope.arena->Commit(total);
+  RunScopedSchedule(
+      graph, s_nodes, options, pool, scope, kernel,
+      [&] { kernel.MergeBatch(&sum_x, &sum_sq_x, &sum_y, &sum_y_sq); },
+      // Subset-restricted calls run the FULL fixed-target schedule unless
+      // the scope opts in: letting the stop rule fire on subset
+      // convergence alone would exit earlier than the equivalent full
+      // call, and the lazy selection layer needs subset estimates bitwise
+      // exchangeable with full-batch ones (DESIGN.md §13). The subset
+      // still skips the O(w) moment folds and assembly for excluded
+      // nodes.
+      [&](int total) {
+        return options.adaptive &&
+               (subset == nullptr || scope.allow_adaptive_exit) &&
+               assemble_and_check(total, /*fill_rel=*/false);
+      },
+      &result);
+  assemble_and_check(result.forests, /*fill_rel=*/true);
   return result;
 }
 

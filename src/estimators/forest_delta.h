@@ -4,6 +4,7 @@
 #define CFCM_ESTIMATORS_FOREST_DELTA_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -66,18 +67,30 @@ struct DeltaScope {
 
 /// \brief Runs Algorithm 2: samples rooted forests with root set
 /// `s_nodes`, maintains diagonal and JL-sketched flow estimators, and
-/// applies the empirical-Bernstein adaptive exit.
+/// applies the empirical-Bernstein adaptive exit. `scope` restricts the
+/// call (subset re-scoring, arena replay); the default is the full call.
 ///
 /// Requires a connected graph and a non-empty root set.
 DeltaEstimate ForestDelta(const Graph& graph,
                           const std::vector<NodeId>& s_nodes,
-                          const EstimatorOptions& options, ThreadPool& pool);
-
-/// ForestDelta restricted by `scope` (subset re-scoring, arena replay).
-DeltaEstimate ForestDelta(const Graph& graph,
-                          const std::vector<NodeId>& s_nodes,
                           const EstimatorOptions& options, ThreadPool& pool,
-                          const DeltaScope& scope);
+                          const DeltaScope& scope = {});
+
+class JlForestKernel;  // estimators/jl_kernel.h
+
+/// \brief The scoped sampling run under ForestDelta and SchurDelta.
+///
+/// Resolves the forest target (scaled by `scope.forest_scale`, floored
+/// at min_batch), wires the scope's subset, arena round for `roots` and
+/// replay plan into `kernel`, and runs RunSamplingSchedule with the
+/// caller's `merge` and `stop` rule. Then fills the forest, replay, walk
+/// and convergence fields of `result` and commits the arena.
+void RunScopedSchedule(const Graph& graph, const std::vector<NodeId>& roots,
+                       const EstimatorOptions& options, ThreadPool& pool,
+                       const DeltaScope& scope, JlForestKernel& kernel,
+                       const std::function<void()>& merge,
+                       const std::function<bool(int)>& stop,
+                       DeltaEstimate* result);
 
 }  // namespace cfcm
 

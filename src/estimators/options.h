@@ -3,8 +3,11 @@
 #define CFCM_ESTIMATORS_OPTIONS_H_
 
 #include <cstdint>
+#include <functional>
 
+#include "common/thread_pool.h"
 #include "graph/graph.h"
+#include "runtime/mc_runtime.h"
 
 namespace cfcm {
 
@@ -37,9 +40,27 @@ int ResolveTargetForests(const EstimatorOptions& options, NodeId n);
 /// Failure probability delta for Bernstein bounds.
 double ResolveBernsteinDelta(const EstimatorOptions& options, NodeId n);
 
-/// Next batch size for the doubling sample loops: 2 * batch, clamped to
-/// `target` and guarded against int overflow when max_forests is large.
-int NextBatchSize(int batch, int target);
+/// Outcome of one RunSamplingSchedule call.
+struct SampleSchedule {
+  int forests = 0;              ///< forests run through the kernel
+  std::int64_t walk_steps = 0;  ///< total loop-erased walk steps
+  bool converged = false;       ///< `stop` fired before the target
+};
+
+/// \brief The adaptive sample loop shared by every forest estimator
+/// (DESIGN.md §3).
+///
+/// Runs batches of min_batch, 2 min_batch, 4 min_batch, ... forests
+/// (the last one clamped to `target`) through `kernel` on `pool`, with
+/// forest indices continuing across batches. After each batch `merge`
+/// folds the kernel's partials into the caller's running sums; while
+/// fewer than `target` forests are in, `stop(total)` is the estimator's
+/// exit rule and ends sampling when it returns true.
+SampleSchedule RunSamplingSchedule(ThreadPool& pool, NodeId n,
+                                   const EstimatorOptions& options,
+                                   int target, ForestKernel& kernel,
+                                   const std::function<void()>& merge,
+                                   const std::function<bool(int)>& stop);
 
 }  // namespace cfcm
 

@@ -113,14 +113,6 @@ SchurDeltaEstimate SchurDelta(const Graph& graph,
                               const std::vector<NodeId>& s_nodes,
                               const std::vector<NodeId>& t_nodes,
                               const EstimatorOptions& options,
-                              ThreadPool& pool) {
-  return SchurDelta(graph, s_nodes, t_nodes, options, pool, DeltaScope{});
-}
-
-SchurDeltaEstimate SchurDelta(const Graph& graph,
-                              const std::vector<NodeId>& s_nodes,
-                              const std::vector<NodeId>& t_nodes,
-                              const EstimatorOptions& options,
                               ThreadPool& pool, const DeltaScope& scope) {
   const NodeId n = graph.num_nodes();
   const int nt = static_cast<int>(t_nodes.size());
@@ -134,12 +126,8 @@ SchurDeltaEstimate SchurDelta(const Graph& graph,
          "S and T must be disjoint");
 
   const int w = ResolveJlRows(options, n);
-  int target = ResolveTargetForests(options, n);
-  if (scope.forest_scale < 1.0) {
-    target = std::max(std::max(1, options.min_batch),
-                      static_cast<int>(target * scope.forest_scale));
-  }
   const double delta_fail = ResolveBernsteinDelta(options, n);
+  const double log_term = std::log(3.0 / delta_fail);
   const JlSketch sketch(w, n, options.seed ^ 0xc4ceb9fe1a85ec53ULL);
 
   // Q in R^{w x |T|}: the JL block covering the T coordinates (Alg. 4
@@ -159,13 +147,6 @@ SchurDeltaEstimate SchurDelta(const Graph& graph,
   const std::vector<char>* subset = scope.subset;
   SchurKernel kernel(graph, scaffold, sketch, options.seed, w,
                      McScratchSlots(pool), t_nodes, t_index);
-  kernel.set_subset(subset);
-  if (scope.arena != nullptr) {
-    scope.arena->BeginRound(n, roots, options.seed, target);
-    kernel.set_arena(scope.arena);
-  }
-  McRunOptions run;
-  run.num_nodes = n;
 
   const std::size_t nw = static_cast<std::size_t>(n) * w;
   std::vector<double> sum_x(static_cast<std::size_t>(n), 0.0);
@@ -191,7 +172,6 @@ SchurDeltaEstimate SchurDelta(const Graph& graph,
   auto cheap_converged = [&](int r) {
     const double inv_r = 1.0 / static_cast<double>(r);
     const double rel_cap = options.eps / (1.0 + options.eps);
-    const double log_term = std::log(3.0 / delta_fail);
     for (NodeId u = 0; u < n; ++u) {
       if (scaffold.is_root[u]) continue;  // S and T checked via assembly
       if (subset != nullptr && !(*subset)[u]) continue;
@@ -202,23 +182,19 @@ SchurDeltaEstimate SchurDelta(const Graph& graph,
         const double mj = yu[j] * inv_r;
         num += mj * mj;
       }
-      const double sup_x = 2.0 * scaffold.resistance_depth[u];
-      const double hz = EmpiricalBernsteinHalfWidth(r, sum_x[u], sum_sq_x[u],
-                                                    sup_x, delta_fail);
       const double v_tot = std::max(0.0, sum_y_sq[u] * inv_r - num);
-      const double h_base = 2.0 * log_term * v_tot * inv_r;
-      const double h_num = 2.0 * std::sqrt(num * h_base) + h_base;
       const double z_floor = 1.0 / (graph.weighted_degree(u) + 1.0);
-      const double rel =
-          h_num / std::max(num, 1e-300) + hz / std::max(zu, z_floor);
+      const double rel = RelativeHalfWidth(
+          r, sum_x[u], sum_sq_x[u], 2.0 * scaffold.resistance_depth[u],
+          delta_fail, log_term, v_tot, num, zu, z_floor);
       if (rel > rel_cap) return false;
     }
     return true;
   };
 
-  // Assembles the block reconstruction of Eq. (11) at sample count r and
-  // evaluates the adaptive criterion on the forest-sampled parts.
-  auto assemble_and_check = [&](int r) {
+  // Assembles the block reconstruction of Eq. (11) and the per-node
+  // relative widths at sample count r.
+  auto assemble = [&](int r) {
     const double inv_r = 1.0 / static_cast<double>(r);
 
     // Schur complement from rooted probabilities, Eq. (15):
@@ -255,8 +231,6 @@ SchurDeltaEstimate SchurDelta(const Graph& graph,
     }
     const DenseMatrix m = wfq.Multiply(g);
 
-    bool all_converged = options.adaptive;
-    const double rel_cap = options.eps / (1.0 + options.eps);
     std::vector<int> nz;
     nz.reserve(static_cast<std::size_t>(nt));
     std::vector<double> ycorr(static_cast<std::size_t>(w));
@@ -316,18 +290,9 @@ SchurDeltaEstimate SchurDelta(const Graph& graph,
       const double z_floor = 1.0 / (graph.weighted_degree(u) + 1.0);
       result.delta[u] = num / std::max(zu, z_floor);
 
-      {
-        const double sup_x = 2.0 * scaffold.resistance_depth[u];
-        const double hz = EmpiricalBernsteinHalfWidth(r, sum_x[u], sum_sq_x[u],
-                                                      sup_x, delta_fail);
-        const double log_term = std::log(3.0 / delta_fail);
-        const double h_base = 2.0 * log_term * v_tot * inv_r;
-        const double h_num = 2.0 * std::sqrt(num * h_base) + h_base;
-        const double rel =
-            h_num / std::max(num, 1e-300) + hz / std::max(zu, z_floor);
-        result.rel[u] = rel;
-        if (rel > rel_cap) all_converged = false;
-      }
+      result.rel[u] = RelativeHalfWidth(
+          r, sum_x[u], sum_sq_x[u], 2.0 * scaffold.resistance_depth[u],
+          delta_fail, log_term, v_tot, num, zu, z_floor);
     }
     // T nodes carry no Bernstein stream of their own (their values come
     // out of the Schur algebra); give them the widest U width so the
@@ -338,34 +303,22 @@ SchurDeltaEstimate SchurDelta(const Graph& graph,
       if (subset != nullptr && !(*subset)[t]) continue;
       result.rel[t] = max_rel;
     }
-    return all_converged;
   };
 
-  int total = 0;
-  int batch = std::max(1, options.min_batch);
-  while (total < target) {
-    const int current = std::min(batch, target - total);
-    const McRunStats stats = RunForestBatch(
-        pool, run, static_cast<uint64_t>(total), current, kernel);
-    result.walk_steps += stats.walk_steps;
-    kernel.MergeBatch(&sum_x, &sum_sq_x, &sum_y, &sum_y_sq);
-    kernel.MergeSchurBatch(&counts, &sum_wf);
-    total += current;
-    batch = NextBatchSize(batch, target);
-
-    if (total >= target) break;
-    // Subset-restricted calls run the full fixed-target schedule so the
-    // estimates stay bitwise exchangeable with a full call's (see
-    // ForestDelta; DESIGN.md §13).
-    if (options.adaptive && subset == nullptr && cheap_converged(total)) {
-      result.converged = true;
-      break;
-    }
-  }
-  assemble_and_check(total);
-  result.forests = total;
-  result.reused_forests = kernel.reused_forests();
-  if (scope.arena != nullptr) scope.arena->Commit(total);
+  RunScopedSchedule(
+      graph, roots, options, pool, scope, kernel,
+      [&] {
+        kernel.MergeBatch(&sum_x, &sum_sq_x, &sum_y, &sum_y_sq);
+        kernel.MergeSchurBatch(&counts, &sum_wf);
+      },
+      // Subset-restricted calls run the full fixed-target schedule so the
+      // estimates stay bitwise exchangeable with a full call's (see
+      // ForestDelta; DESIGN.md §13).
+      [&](int total) {
+        return options.adaptive && subset == nullptr && cheap_converged(total);
+      },
+      &result);
+  assemble(result.forests);
   return result;
 }
 

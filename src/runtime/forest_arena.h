@@ -72,9 +72,6 @@ class ForestArena {
   /// Root set the stored forests were sampled for.
   const std::vector<NodeId>& roots() const { return roots_; }
 
-  /// Drops all stored forests (keeps slab memory for reuse).
-  void Invalidate() { committed_ = 0; }
-
  private:
   NodeId n_ = 0;
   uint64_t seed_ = 0;

@@ -26,8 +26,9 @@ CfcmOptions FastOptions() {
 TEST(EdgeCasesTest, KEqualsNMinusOne) {
   // Selecting all but one node: the loop must survive |V \ S| = 1.
   const Graph g = CycleGraph(6);
-  for (auto solver : {&ForestCfcmMaximize, &SchurCfcmMaximize}) {
-    auto result = solver(g, 5, FastOptions());
+  for (bool schur : {false, true}) {
+    auto result = schur ? SchurCfcmMaximize(g, 5, FastOptions())
+                        : ForestCfcmMaximize(g, 5, FastOptions());
     ASSERT_TRUE(result.ok());
     std::vector<NodeId> sorted = result->selected;
     std::sort(sorted.begin(), sorted.end());

@@ -193,6 +193,42 @@ TEST(WarmDeterminismTest, ThreadCountInvariant) {
   }
 }
 
+// ------------------------------------------------ successor deposit
+
+TEST(WarmDepositTest, EvictedIncumbentKeepsItsPhaseAGain) {
+  // A heavy reweight at the first pick makes Phase A swap out the final
+  // pick (karate, k = 4, seed 4) and Phase B re-contest the first pick.
+  // The successor state must fold Phase A's refreshed gains, so the
+  // evicted incumbent re-enters the contender pool with a positive key
+  // instead of the 0 it carried as a selection member.
+  const Graph g = KarateClub();
+  const int k = 4;
+  const CfcmOptions options = Opts(4);
+  std::shared_ptr<const WarmState> deposit;
+  const auto cold = ColdSolve(g, k, options, &deposit);
+  ASSERT_TRUE(cold.ok());
+  ASSERT_NE(deposit, nullptr);
+
+  const NodeId first = cold->selected.front();
+  GraphDelta delta;
+  delta.ReweightEdge(first, g.neighbors(first)[0],
+                     1.0 + 0.5 * g.weighted_degree(first));
+  const auto g2 = g.Apply(delta);
+  ASSERT_TRUE(g2.ok());
+  const auto advanced = AdvanceWarmState(*deposit, g, delta);
+  std::shared_ptr<const WarmState> next;
+  const auto warm = WarmSolve(*g2, k, options, WarmMode::kOn, advanced, &next);
+  ASSERT_TRUE(warm.ok());
+  ASSERT_TRUE(warm->warm_started);
+  ASSERT_NE(next, nullptr);
+
+  const NodeId evicted = cold->selected.back();
+  ASSERT_NE(warm->selected.back(), evicted);  // Phase A swapped
+  ASSERT_GE(warm->forests_per_iteration.size(), 2u);  // Phase B ran
+  EXPECT_GT(next->gains[static_cast<std::size_t>(evicted)], 0.0);
+  EXPECT_GT(next->keys[static_cast<std::size_t>(evicted)], 0.0);
+}
+
 // -------------------------------------------- DecideWarm fallback policy
 
 TEST(DecideWarmTest, NullStateAndParameterDrift) {

@@ -225,6 +225,56 @@ TEST(LazyWorkCountersTest, LazyRescoresFewerCandidatesThanExhaustive) {
   }
 }
 
+// Every work counter and the selection of one solve.
+struct PinnedResult {
+  std::vector<NodeId> selected;
+  std::vector<int> forests_per_iteration;
+  std::int64_t total_forests;
+  std::int64_t total_walk_steps;
+  std::int64_t rescored_candidates;
+  std::int64_t heap_pops;
+  std::int64_t forests_reused;
+  int jl_rows;
+};
+
+void ExpectPinned(const StatusOr<CfcmResult>& result,
+                  const PinnedResult& want) {
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->selected, want.selected);
+  EXPECT_EQ(result->forests_per_iteration, want.forests_per_iteration);
+  EXPECT_EQ(result->total_forests, want.total_forests);
+  EXPECT_EQ(result->total_walk_steps, want.total_walk_steps);
+  EXPECT_EQ(result->rescored_candidates, want.rescored_candidates);
+  EXPECT_EQ(result->heap_pops, want.heap_pops);
+  EXPECT_EQ(result->forests_reused, want.forests_reused);
+  EXPECT_EQ(result->jl_rows, want.jl_rows);
+}
+
+TEST(LazyWorkCountersTest, FullResultsArePinned) {
+  // Both sampled solvers under both selection loops on ba:400,4,1,
+  // k = 8: selection, per-round forests and every work counter. The
+  // exhaustive rows re-score all n - i candidates per round and never
+  // touch the heap or an arena.
+  const Graph g = BarabasiAlbert(400, 4, 1);
+  const int k = 8;
+  ExpectPinned(ForestCfcmMaximize(g, k, Opts(1, SelectionMode::kExhaustive)),
+               {{99, 117, 12, 55, 6, 154, 16, 30},
+                {217, 217, 217, 217, 217, 217, 217, 217},
+                1736, 953929, 2772, 0, 0, 18});
+  ExpectPinned(ForestCfcmMaximize(g, k, Opts(1, SelectionMode::kLazy)),
+               {{99, 117, 12, 1, 6, 157, 8, 4},
+                {217, 217, 217, 108, 108, 108, 108, 108},
+                1191, 681744, 1025, 1025, 0, 18});
+  ExpectPinned(SchurCfcmMaximize(g, k, Opts(1, SelectionMode::kExhaustive)),
+               {{99, 4, 1, 6, 2, 288, 355, 7},
+                {217, 217, 217, 217, 217, 217, 217, 217},
+                1736, 773395, 2772, 0, 0, 18});
+  ExpectPinned(SchurCfcmMaximize(g, k, Opts(1, SelectionMode::kLazy)),
+               {{99, 4, 1, 196, 281, 5, 379, 15},
+                {217, 217, 217, 108, 108, 108, 108, 108},
+                1191, 535034, 1061, 1061, 0, 18});
+}
+
 // ------------------------------- weighted hub order (SchurCFCM T roots)
 
 TEST(WeightedHubOrderTest, HubRemovalOrderUsesWeightedDegrees) {

@@ -86,6 +86,13 @@ TEST_P(ThreadInvarianceTest, SchurDeltaBitwiseMatchesSingleThread) {
   }
 }
 
+// ForestCfcmMaximize without its warm-capture argument, so both sampled
+// solvers fit one function-pointer type.
+StatusOr<CfcmResult> ForestCfcm(const Graph& g, int k,
+                                const CfcmOptions& options) {
+  return ForestCfcmMaximize(g, k, options);
+}
+
 // Full-solver invariance, including the adaptive Bernstein exits (the
 // per-iteration forest counts pin the convergence decisions too).
 void ExpectSolverInvariant(
@@ -113,16 +120,16 @@ void ExpectSolverInvariant(
 }
 
 TEST(SolverThreadInvarianceTest, ForestCfcmUnitWeighted) {
-  ExpectSolverInvariant(KarateClub(), 4, &ForestCfcmMaximize);
+  ExpectSolverInvariant(KarateClub(), 4, &ForestCfcm);
 }
 
 TEST(SolverThreadInvarianceTest, ForestCfcmWeighted) {
-  ExpectSolverInvariant(KarateClubWeighted(), 4, &ForestCfcmMaximize);
+  ExpectSolverInvariant(KarateClubWeighted(), 4, &ForestCfcm);
 }
 
 TEST(SolverThreadInvarianceTest, ForestCfcmWeightedGrid) {
   ExpectSolverInvariant(AssignUniformWeights(GridGraph(6, 6), 0.25, 4.0, 23),
-                        3, &ForestCfcmMaximize);
+                        3, &ForestCfcm);
 }
 
 TEST(SolverThreadInvarianceTest, SchurCfcmUnitWeighted) {

@@ -24,6 +24,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -132,6 +133,15 @@ int RunServe(int argc, char** argv) {
       if (!cfcm::ParseInt64(value, &number) || number < 0) {
         std::fprintf(stderr, "error: bad value for %s: '%s'\n", arg.c_str(),
                      value);
+        return 2;
+      }
+      // Range-check the int-narrowed flags before their casts: a wrapped
+      // value would run with an unintended size (2^32 + 1 -> 1).
+      if ((arg == "--workers" || arg == "--threads" ||
+           arg == "--watchdog-ms") &&
+          number > std::numeric_limits<int>::max()) {
+        std::fprintf(stderr, "error: %s must be in [0, %d]\n", arg.c_str(),
+                     std::numeric_limits<int>::max());
         return 2;
       }
       if (arg == "--port") {
