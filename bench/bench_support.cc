@@ -155,13 +155,12 @@ CfcmOptions BenchOptions(double eps, uint64_t seed) {
   opts.seed = seed;
   opts.num_threads = 0;  // all cores
   // Bench-scale engineering knobs (DESIGN.md "Engineering constants"):
-  // the adaptive Bernstein exit still applies on top of these targets.
+  // every estimator call samples exactly the target these resolve to.
   // Scaled for the 2-core offline host; quality-focused benches (Fig. 1,
   // Fig. 2) raise them explicitly.
   opts.forest_factor = 0.35;
   opts.max_forests = 4096;
   opts.max_jl_rows = 16;
-  opts.min_batch = 64;
   return opts;
 }
 
@@ -182,10 +181,9 @@ std::string LatencyJson(const obs::LatencyHistogram::Snapshot& snapshot) {
 void PrintOptions(const CfcmOptions& options) {
   std::printf(
       "# options: eps=%.2f seed=%llu forest_factor=%.2f max_forests=%d "
-      "max_jl_rows=%d adaptive=%d\n",
+      "max_jl_rows=%d\n",
       options.eps, static_cast<unsigned long long>(options.seed),
-      options.forest_factor, options.max_forests, options.max_jl_rows,
-      options.adaptive ? 1 : 0);
+      options.forest_factor, options.max_forests, options.max_jl_rows);
 }
 
 }  // namespace cfcm::bench

@@ -341,7 +341,7 @@ StatusOr<CfcmResult> LazyGreedySelect(const Graph& graph, int k,
         // force_all, a second escalation, or a predicted batch covering
         // most of the heap: refresh everything left. When that is the
         // whole candidate set the mask is dropped below and the call is
-        // the exhaustive path (adaptive exit included).
+        // the exhaustive path's.
         want = heap.size();
       } else if (!fresh.empty()) {
         // First escalation after a failed survival test.
@@ -361,8 +361,8 @@ StatusOr<CfcmResult> LazyGreedySelect(const Graph& graph, int k,
         mask[batch.back().id] = 1;
       }
       // A batch covering every remaining candidate is the exhaustive
-      // call itself; dropping the mask keeps it bitwise identical to
-      // the exhaustive path (including its all-node adaptive exit).
+      // call itself: dropping the mask makes it that call, at full
+      // budget and without the per-node mask tests.
       const bool full_cover =
           fresh.empty() && heap.empty() &&
           batch.size() ==

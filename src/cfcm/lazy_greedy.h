@@ -5,11 +5,10 @@
 // the current gain of the same node. The *sampled* gains are not upper
 // bounds: each round draws an independent forest set and JL sketch, so
 // a stale key is a noisy sample of the current gain (measured
-// multiplicative spread 2-3x on small graphs that never hit the
-// Bernstein stop). The heap therefore keys candidates on
-// gain * (1 + rel), where rel is the estimator's own per-node
-// empirical-Bernstein relative half-width, and the survival test adds
-// a further (1 + kLazyInflation) drift margin on top. The loop
+// multiplicative spread 2-3x on small graphs). The heap therefore keys
+// candidates on gain * (1 + rel), where rel is the estimator's own
+// per-node empirical-Bernstein relative half-width, and the survival
+// test adds a further (1 + kLazyInflation) drift margin on top. The loop
 // re-scores the top candidates per round through subset-restricted
 // ForestDelta/SchurDelta calls (one predictive batch plus geometric
 // escalation, so a round costs ~one estimator schedule) until the

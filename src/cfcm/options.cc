@@ -18,12 +18,10 @@ EstimatorOptions ToEstimatorOptions(const CfcmOptions& options) {
   EstimatorOptions est;
   est.eps = options.eps;
   est.seed = options.seed;
-  est.min_batch = options.min_batch;
   est.max_forests = options.max_forests;
   est.forest_factor = options.forest_factor;
   est.jl_rows = options.jl_rows;
   est.max_jl_rows = options.max_jl_rows;
-  est.adaptive = options.adaptive;
   return est;
 }
 

@@ -49,12 +49,10 @@ struct CfcmOptions {
   ThreadPool* pool = nullptr;
 
   // -- sampling engineering knobs (see DESIGN.md "Engineering constants").
-  int min_batch = 32;
   int max_forests = 1024;
   double forest_factor = 1.0;
   int jl_rows = 0;       ///< 0 = auto
   int max_jl_rows = 64;
-  bool adaptive = true;
 
   // -- SchurCFCM only.
   int t_size = 0;   ///< |T|; 0 = the |T*| = argmin {|T| - dmax(T)} rule

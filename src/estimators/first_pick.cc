@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <memory>
 
-#include "estimators/bernstein.h"
 #include "estimators/phi_estimators.h"
 #include "forest/bfs_tree.h"
 #include "forest/subtree.h"
@@ -55,8 +53,7 @@ class FirstPickKernel final : public ForestKernel {
     }
   }
 
-  /// Folds the batch partials into the running sums and clears them
-  /// (the per-batch merge the Bernstein check runs against).
+  /// Folds the batch partials into the running sums and clears them.
   void MergeBatch(std::vector<double>* sum, std::vector<double>* sum_sq) {
     for (std::size_t u = 0; u < partial_sum_.size(); ++u) {
       (*sum)[u] += partial_sum_[u];
@@ -101,44 +98,15 @@ FirstPickResult EstimateFirstPick(const Graph& graph,
   result.pivot = graph.MaxWeightedDegreeNode();
   const TreeScaffold scaffold = MakeTreeScaffold(graph, {result.pivot});
   const int target = ResolveTargetForests(options, n);
-  const double delta = ResolveBernsteinDelta(options, n);
 
   FirstPickKernel kernel(graph, scaffold, options, McScratchSlots(pool));
   std::vector<double> sum(static_cast<std::size_t>(n), 0.0);
   std::vector<double> sum_sq(static_cast<std::size_t>(n), 0.0);
 
-  // Selection-resolved stop: the best candidate's upper confidence bound
-  // lies below the runner-up's lower bound. (The paper's relative
-  // criterion is ill-posed here because x_u is a *shifted* diagonal that
-  // can be arbitrarily close to zero; resolving the argmin is what the
-  // first iteration actually needs.)
-  auto resolved = [&](int total) {
-    if (!options.adaptive) return false;
-    NodeId best = -1, second = -1;
-    for (NodeId u = 0; u < n; ++u) {
-      const double xu = sum[u] / total;
-      if (best == -1 || xu < sum[best] / total) {
-        second = best;
-        best = u;
-      } else if (second == -1 || xu < sum[second] / total) {
-        second = u;
-      }
-    }
-    if (best < 0 || second < 0) return false;
-    auto half_width = [&](NodeId u) {
-      const double sup = 3.0 * scaffold.resistance_depth[u];
-      return EmpiricalBernsteinHalfWidth(total, sum[u], sum_sq[u], sup, delta);
-    };
-    return sum[best] / total + half_width(best) <=
-           sum[second] / total - half_width(second);
-  };
-
   const SampleSchedule schedule = RunSamplingSchedule(
-      pool, n, options, target, kernel,
-      [&] { kernel.MergeBatch(&sum, &sum_sq); }, resolved);
+      pool, n, target, kernel, [&] { kernel.MergeBatch(&sum, &sum_sq); });
   result.forests = schedule.forests;
   result.walk_steps = schedule.walk_steps;
-  result.converged = schedule.converged;
 
   result.scores.assign(static_cast<std::size_t>(n), 0.0);
   for (NodeId u = 0; u < n; ++u) {

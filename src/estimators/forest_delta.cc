@@ -16,13 +16,11 @@ void RunScopedSchedule(const Graph& graph, const std::vector<NodeId>& roots,
                        const EstimatorOptions& options, ThreadPool& pool,
                        const DeltaScope& scope, JlForestKernel& kernel,
                        const std::function<void()>& merge,
-                       const std::function<bool(int)>& stop,
                        DeltaEstimate* result) {
   const NodeId n = graph.num_nodes();
   int target = ResolveTargetForests(options, n);
   if (scope.forest_scale < 1.0) {
-    target = std::max(std::max(1, options.min_batch),
-                      static_cast<int>(target * scope.forest_scale));
+    target = std::max(kMinBatch, static_cast<int>(target * scope.forest_scale));
   }
   kernel.set_subset(scope.subset);
   if (scope.arena != nullptr) {
@@ -33,10 +31,9 @@ void RunScopedSchedule(const Graph& graph, const std::vector<NodeId>& roots,
     }
   }
   const SampleSchedule schedule =
-      RunSamplingSchedule(pool, n, options, target, kernel, merge, stop);
+      RunSamplingSchedule(pool, n, target, kernel, merge);
   result->forests = schedule.forests;
   result->walk_steps = schedule.walk_steps;
-  result->converged = schedule.converged;
   result->reused_forests = kernel.reused_forests();
   if (scope.arena != nullptr) scope.arena->Commit(schedule.forests);
 }
@@ -70,73 +67,47 @@ DeltaEstimate ForestDelta(const Graph& graph,
   result.numerator.assign(static_cast<std::size_t>(n), 0.0);
   result.rel.assign(static_cast<std::size_t>(n), 0.0);
 
-  // Evaluates point estimates and (optionally) the Bernstein stop rule.
-  // `fill_rel` additionally stores each node's relative half-width (the
-  // final assembly does; the per-batch stop checks skip the extra work
-  // once a node has failed the cap).
-  auto assemble_and_check = [&](int r, bool fill_rel) {
-    const double inv_r = 1.0 / static_cast<double>(r);
-    bool all_converged = options.adaptive;
-    const double rel_cap = options.eps / (1.0 + options.eps);
-    for (NodeId u = 0; u < n; ++u) {
-      if (scaffold.is_root[u]) {
-        result.delta[u] = result.z[u] = result.numerator[u] = 0.0;
-        continue;
-      }
-      if (subset != nullptr && !(*subset)[u]) continue;  // stays 0
-      const double zu = sum_x[u] * inv_r;
-      double raw_num = 0;
-      const double* yu = sum_y.data() + static_cast<std::size_t>(u) * w;
-      for (int j = 0; j < w; ++j) {
-        const double m = yu[j] * inv_r;
-        raw_num += m * m;
-      }
-      // Aggregate variance across sketch rows: sum_j Var(Y_j) = mean
-      // ||Y_f||^2 - ||mean Y||^2. Used both to debias the numerator and
-      // as the Bernstein variance proxy.
-      const double v_tot = std::max(0.0, sum_y_sq[u] * inv_r - raw_num);
-      // E[sum_j Ybar_j^2] = ||E Y||^2 + sum_j Var(Y_j)/r: subtract the
-      // plug-in bias (it scales with depth^2 and would systematically
-      // favor deep nodes on high-diameter graphs).
-      const double num =
-          r > 1 ? std::max(raw_num - v_tot / static_cast<double>(r - 1), 0.0)
-                : raw_num;
-      result.z[u] = zu;
-      result.numerator[u] = num;
-      // (L^{-1}_{-S})_uu >= 1/d_w(u) by the Neumann-series bound (paper
-      // Lemma 3.9; weighted degree = Laplacian diagonal); clamp the
-      // denominator so sampling noise cannot blow up the ratio.
-      const double z_floor = 1.0 / (graph.weighted_degree(u) + 1.0);
-      result.delta[u] = num / std::max(zu, z_floor);
-
-      if (all_converged || fill_rel) {
-        const double rel = RelativeHalfWidth(
-            r, sum_x[u], sum_sq_x[u], 2.0 * scaffold.resistance_depth[u],
-            delta_fail, log_term, v_tot, num, zu, z_floor);
-        if (fill_rel) result.rel[u] = rel;
-        if (rel > rel_cap) all_converged = false;
-      }
-    }
-    return all_converged;
-  };
-
   RunScopedSchedule(
       graph, s_nodes, options, pool, scope, kernel,
       [&] { kernel.MergeBatch(&sum_x, &sum_sq_x, &sum_y, &sum_y_sq); },
-      // Subset-restricted calls run the FULL fixed-target schedule unless
-      // the scope opts in: letting the stop rule fire on subset
-      // convergence alone would exit earlier than the equivalent full
-      // call, and the lazy selection layer needs subset estimates bitwise
-      // exchangeable with full-batch ones (DESIGN.md §13). The subset
-      // still skips the O(w) moment folds and assembly for excluded
-      // nodes.
-      [&](int total) {
-        return options.adaptive &&
-               (subset == nullptr || scope.allow_adaptive_exit) &&
-               assemble_and_check(total, /*fill_rel=*/false);
-      },
       &result);
-  assemble_and_check(result.forests, /*fill_rel=*/true);
+  // Point estimates and each node's relative half-width at r forests.
+  const int r = result.forests;
+  const double inv_r = 1.0 / static_cast<double>(r);
+  for (NodeId u = 0; u < n; ++u) {
+    if (scaffold.is_root[u]) {
+      result.delta[u] = result.z[u] = result.numerator[u] = 0.0;
+      continue;
+    }
+    if (subset != nullptr && !(*subset)[u]) continue;  // stays 0
+    const double zu = sum_x[u] * inv_r;
+    double raw_num = 0;
+    const double* yu = sum_y.data() + static_cast<std::size_t>(u) * w;
+    for (int j = 0; j < w; ++j) {
+      const double m = yu[j] * inv_r;
+      raw_num += m * m;
+    }
+    // Aggregate variance across sketch rows: sum_j Var(Y_j) = mean
+    // ||Y_f||^2 - ||mean Y||^2. Used both to debias the numerator and
+    // as the Bernstein variance proxy.
+    const double v_tot = std::max(0.0, sum_y_sq[u] * inv_r - raw_num);
+    // E[sum_j Ybar_j^2] = ||E Y||^2 + sum_j Var(Y_j)/r: subtract the
+    // plug-in bias (it scales with depth^2 and would systematically
+    // favor deep nodes on high-diameter graphs).
+    const double num =
+        r > 1 ? std::max(raw_num - v_tot / static_cast<double>(r - 1), 0.0)
+              : raw_num;
+    result.z[u] = zu;
+    result.numerator[u] = num;
+    // (L^{-1}_{-S})_uu >= 1/d_w(u) by the Neumann-series bound (paper
+    // Lemma 3.9; weighted degree = Laplacian diagonal); clamp the
+    // denominator so sampling noise cannot blow up the ratio.
+    const double z_floor = 1.0 / (graph.weighted_degree(u) + 1.0);
+    result.delta[u] = num / std::max(zu, z_floor);
+    result.rel[u] = RelativeHalfWidth(
+        r, sum_x[u], sum_sq_x[u], 2.0 * scaffold.resistance_depth[u],
+        delta_fail, log_term, v_tot, num, zu, z_floor);
+  }
   return result;
 }
 

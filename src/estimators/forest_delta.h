@@ -29,23 +29,25 @@ struct DeltaEstimate {
   int reused_forests = 0;  ///< of `forests`, how many were arena replays
   int jl_rows = 0;
   std::int64_t walk_steps = 0;  ///< total loop-erased walk steps
-  bool converged = false;  ///< Bernstein criterion fired before the cap
+  /// Always false: every call runs its full forest target. Kept only
+  /// because the repository benchmark's estimator replay still reads it
+  /// (perfbench/src/layers.cc, `estimators.converged_share`); delete it
+  /// with that read in the next benchmark change.
+  bool converged = false;
 };
 
 /// \brief Restricts one Delta estimation call to a candidate subset
 /// and/or wires in a forest arena (lazy-greedy re-scoring).
 ///
-/// With a subset mask, only nodes with mask[u] != 0 are estimated and
-/// only they feed the adaptive stop rule — the estimate prices the
-/// per-forest passes plus O(|subset| w) accumulation instead of O(n w)
-/// accumulation, and typically stops after far fewer forests because
-/// only the subset has to converge. delta/z/numerator stay 0 outside
-/// the subset. At equal forest counts, a subset node's values are
-/// bitwise identical to the unrestricted call's.
+/// With a subset mask, only nodes with mask[u] != 0 are estimated — the
+/// estimate prices the per-forest passes plus O(|subset| w)
+/// accumulation instead of O(n w) accumulation. delta/z/numerator stay
+/// 0 outside the subset. At equal forest counts, a subset node's values
+/// are bitwise identical to the unrestricted call's.
 struct DeltaScope {
   const std::vector<char>* subset = nullptr;  ///< size-n mask; null = all
   ForestArena* arena = nullptr;  ///< forest replay/retention; may be null
-  /// Multiplier on the resolved forest target (floored at min_batch).
+  /// Multiplier on the resolved forest target (floored at kMinBatch).
   /// The lazy layer lowers it for re-scores in noise-dominated decayed
   /// regimes, where the full budget buys no extra ranking power
   /// (DESIGN.md §13); rel[] reflects the actual sample size, so the
@@ -57,18 +59,13 @@ struct DeltaScope {
   /// and overwrite their slot. Requires `arena`.
   const std::vector<char>* replay_clean = nullptr;
   uint64_t resample_seed = 0;
-  /// Lets a *subset-restricted* call keep the adaptive Bernstein exit
-  /// (convergence judged over the subset only). Off by default because
-  /// the lazy layer needs subset estimates bitwise exchangeable with
-  /// full-schedule ones; the warm repair path opts in — its fresh
-  /// subset scores are only compared against each other (DESIGN.md §16).
-  bool allow_adaptive_exit = false;
 };
 
-/// \brief Runs Algorithm 2: samples rooted forests with root set
-/// `s_nodes`, maintains diagonal and JL-sketched flow estimators, and
-/// applies the empirical-Bernstein adaptive exit. `scope` restricts the
-/// call (subset re-scoring, arena replay); the default is the full call.
+/// \brief Runs Algorithm 2: samples the resolved target of forests rooted
+/// at `s_nodes` and assembles the diagonal and JL-sketched flow
+/// estimators, with each node's Lemma 3.6 relative width in `rel`.
+/// `scope` restricts the call (subset re-scoring, arena replay); the
+/// default is the full call.
 ///
 /// Requires a connected graph and a non-empty root set.
 DeltaEstimate ForestDelta(const Graph& graph,
@@ -81,15 +78,14 @@ class JlForestKernel;  // estimators/jl_kernel.h
 /// \brief The scoped sampling run under ForestDelta and SchurDelta.
 ///
 /// Resolves the forest target (scaled by `scope.forest_scale`, floored
-/// at min_batch), wires the scope's subset, arena round for `roots` and
+/// at kMinBatch), wires the scope's subset, arena round for `roots` and
 /// replay plan into `kernel`, and runs RunSamplingSchedule with the
-/// caller's `merge` and `stop` rule. Then fills the forest, replay, walk
-/// and convergence fields of `result` and commits the arena.
+/// caller's `merge`. Then fills the forest, replay and walk fields of
+/// `result` and commits the arena.
 void RunScopedSchedule(const Graph& graph, const std::vector<NodeId>& roots,
                        const EstimatorOptions& options, ThreadPool& pool,
                        const DeltaScope& scope, JlForestKernel& kernel,
                        const std::function<void()>& merge,
-                       const std::function<bool(int)>& stop,
                        DeltaEstimate* result);
 
 }  // namespace cfcm

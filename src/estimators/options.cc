@@ -33,8 +33,11 @@ int ResolveTargetForests(const EstimatorOptions& options, NodeId n) {
   }
   const double derived =
       options.forest_factor / (options.eps * options.eps) * Log2N(n);
-  return std::clamp(static_cast<int>(std::ceil(derived)), options.min_batch,
-                    options.max_forests);
+  // Clamp before the cast: at small eps `derived` exceeds INT_MAX, where
+  // converting it to int is undefined.
+  return static_cast<int>(
+      std::min(std::max(std::ceil(derived), static_cast<double>(kMinBatch)),
+               static_cast<double>(options.max_forests)));
 }
 
 double ResolveBernsteinDelta(const EstimatorOptions& options, NodeId n) {
@@ -42,15 +45,13 @@ double ResolveBernsteinDelta(const EstimatorOptions& options, NodeId n) {
   return 1.0 / static_cast<double>(std::max<NodeId>(2, n));
 }
 
-SampleSchedule RunSamplingSchedule(ThreadPool& pool, NodeId n,
-                                   const EstimatorOptions& options,
-                                   int target, ForestKernel& kernel,
-                                   const std::function<void()>& merge,
-                                   const std::function<bool(int)>& stop) {
+SampleSchedule RunSamplingSchedule(ThreadPool& pool, NodeId n, int target,
+                                   ForestKernel& kernel,
+                                   const std::function<void()>& merge) {
   McRunOptions run;
   run.num_nodes = n;
   SampleSchedule schedule;
-  int batch = std::max(1, options.min_batch);
+  int batch = kMinBatch;
   while (schedule.forests < target) {
     const int current = std::min(batch, target - schedule.forests);
     schedule.walk_steps +=
@@ -60,10 +61,6 @@ SampleSchedule RunSamplingSchedule(ThreadPool& pool, NodeId n,
     merge();
     schedule.forests += current;
     batch = NextBatchSize(batch, target);
-    if (schedule.forests < target && stop(schedule.forests)) {
-      schedule.converged = true;
-      break;
-    }
   }
   return schedule;
 }

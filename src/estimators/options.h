@@ -11,30 +11,36 @@
 
 namespace cfcm {
 
-/// \brief Knobs for adaptive forest sampling and JL sketching.
+/// First batch of the sampling schedule (it doubles each round). There
+/// is no check between batches, so this only fixes how the per-batch
+/// merges group their floating-point sums, which the estimator digest
+/// pins record; it is also the floor of the derived forest target.
+constexpr int kMinBatch = 32;
+
+/// \brief Knobs for forest sampling and JL sketching.
 ///
 /// The paper's closed-form sample bounds (Lemmas 3.9/4.5 and the JL bound
-/// of Lemma 3.4) are intentionally conservative; its experiments rely on
-/// the empirical-Bernstein early exit (Lemma 3.6). We expose the same
-/// structure: a target sample count scaling as eps^{-2} log n, an upper
-/// cap, and the adaptive stop. See DESIGN.md "Engineering constants".
+/// of Lemma 3.4) are intentionally conservative, and its experiments stop
+/// early on the empirical-Bernstein width of Lemma 3.6. That stop never
+/// fired before the forest target on a real graph, so every estimator
+/// call samples a fixed count scaling as eps^{-2} log n, under an upper
+/// cap; the Lemma 3.6 widths only feed DeltaEstimate::rel. See DESIGN.md
+/// §3 and "Engineering constants".
 struct EstimatorOptions {
   double eps = 0.2;          ///< error parameter (paper's epsilon)
   uint64_t seed = 1;         ///< base seed; forest i uses stream (seed, i)
-  int min_batch = 32;        ///< first batch size (doubles each round)
   int max_forests = 1024;    ///< hard cap on sampled forests
   int target_forests = 0;    ///< 0 = derive: forest_factor * eps^-2 * log2 n
   double forest_factor = 1.0;
   int jl_rows = 0;           ///< 0 = derive: clamp(2 log2 n, 8, max_jl_rows)
   int max_jl_rows = 64;
   double bernstein_delta = 0.0;  ///< 0 = 1/n
-  bool adaptive = true;      ///< empirical-Bernstein early exit
 };
 
 /// Number of JL rows w actually used for an n-node graph.
 int ResolveJlRows(const EstimatorOptions& options, NodeId n);
 
-/// Number of forests to sample (before adaptive early exit).
+/// Number of forests every estimator call samples.
 int ResolveTargetForests(const EstimatorOptions& options, NodeId n);
 
 /// Failure probability delta for Bernstein bounds.
@@ -44,23 +50,19 @@ double ResolveBernsteinDelta(const EstimatorOptions& options, NodeId n);
 struct SampleSchedule {
   int forests = 0;              ///< forests run through the kernel
   std::int64_t walk_steps = 0;  ///< total loop-erased walk steps
-  bool converged = false;       ///< `stop` fired before the target
 };
 
-/// \brief The adaptive sample loop shared by every forest estimator
-/// (DESIGN.md §3).
+/// \brief The sample loop shared by every forest estimator (DESIGN.md
+/// §3).
 ///
-/// Runs batches of min_batch, 2 min_batch, 4 min_batch, ... forests
+/// Runs batches of kMinBatch, 2 kMinBatch, 4 kMinBatch, ... forests
 /// (the last one clamped to `target`) through `kernel` on `pool`, with
-/// forest indices continuing across batches. After each batch `merge`
-/// folds the kernel's partials into the caller's running sums; while
-/// fewer than `target` forests are in, `stop(total)` is the estimator's
-/// exit rule and ends sampling when it returns true.
-SampleSchedule RunSamplingSchedule(ThreadPool& pool, NodeId n,
-                                   const EstimatorOptions& options,
-                                   int target, ForestKernel& kernel,
-                                   const std::function<void()>& merge,
-                                   const std::function<bool(int)>& stop);
+/// forest indices continuing across batches, until `target` forests are
+/// in. After each batch `merge` folds the kernel's partials into the
+/// caller's running sums.
+SampleSchedule RunSamplingSchedule(ThreadPool& pool, NodeId n, int target,
+                                   ForestKernel& kernel,
+                                   const std::function<void()>& merge);
 
 }  // namespace cfcm
 

@@ -164,34 +164,6 @@ SchurDeltaEstimate SchurDelta(const Graph& graph,
   result.numerator.assign(static_cast<std::size_t>(n), 0.0);
   result.rel.assign(static_cast<std::size_t>(n), 0.0);
 
-  // Cheap adaptive criterion on the forest-sampled parts only (no Schur
-  // algebra): the sampled z and numerator under-estimate their corrected
-  // values, so the relative-error bound is conservative. Keeping the
-  // per-batch check free of the Eq. (11) assembly is what preserves
-  // SchurDelta's speed advantage over ForestDelta.
-  auto cheap_converged = [&](int r) {
-    const double inv_r = 1.0 / static_cast<double>(r);
-    const double rel_cap = options.eps / (1.0 + options.eps);
-    for (NodeId u = 0; u < n; ++u) {
-      if (scaffold.is_root[u]) continue;  // S and T checked via assembly
-      if (subset != nullptr && !(*subset)[u]) continue;
-      const double zu = sum_x[u] * inv_r;
-      const double* yu = sum_y.data() + static_cast<std::size_t>(u) * w;
-      double num = 0;
-      for (int j = 0; j < w; ++j) {
-        const double mj = yu[j] * inv_r;
-        num += mj * mj;
-      }
-      const double v_tot = std::max(0.0, sum_y_sq[u] * inv_r - num);
-      const double z_floor = 1.0 / (graph.weighted_degree(u) + 1.0);
-      const double rel = RelativeHalfWidth(
-          r, sum_x[u], sum_sq_x[u], 2.0 * scaffold.resistance_depth[u],
-          delta_fail, log_term, v_tot, num, zu, z_floor);
-      if (rel > rel_cap) return false;
-    }
-    return true;
-  };
-
   // Assembles the block reconstruction of Eq. (11) and the per-node
   // relative widths at sample count r.
   auto assemble = [&](int r) {
@@ -310,12 +282,6 @@ SchurDeltaEstimate SchurDelta(const Graph& graph,
       [&] {
         kernel.MergeBatch(&sum_x, &sum_sq_x, &sum_y, &sum_y_sq);
         kernel.MergeSchurBatch(&counts, &sum_wf);
-      },
-      // Subset-restricted calls run the full fixed-target schedule so the
-      // estimates stay bitwise exchangeable with a full call's (see
-      // ForestDelta; DESIGN.md §13).
-      [&](int total) {
-        return options.adaptive && subset == nullptr && cheap_converged(total);
       },
       &result);
   assemble(result.forests);

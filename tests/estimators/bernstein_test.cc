@@ -84,6 +84,17 @@ TEST(EstimatorOptionsTest, TargetForestsRespectsCap) {
   EXPECT_EQ(ResolveTargetForests(opts, 1 << 20), 100);
 }
 
+TEST(EstimatorOptionsTest, TinyEpsSaturatesAtCap) {
+  // eps^-2 log2 n exceeds INT_MAX here; the target must still be the cap,
+  // not whatever an out-of-range double-to-int conversion yields.
+  EstimatorOptions opts;
+  for (double eps : {1e-5, 1e-6}) {
+    opts.eps = eps;
+    EXPECT_EQ(ResolveTargetForests(opts, 34), opts.max_forests) << eps;
+    EXPECT_EQ(ResolveTargetForests(opts, 10000), opts.max_forests) << eps;
+  }
+}
+
 TEST(EstimatorOptionsTest, DeltaDefaultsToOneOverN) {
   EstimatorOptions opts;
   EXPECT_DOUBLE_EQ(ResolveBernsteinDelta(opts, 500), 1.0 / 500);

@@ -17,7 +17,6 @@ EstimatorOptions TestOptions(int forests, int jl_rows = 0) {
   opts.max_forests = forests;
   opts.target_forests = forests;
   opts.jl_rows = jl_rows;
-  opts.adaptive = false;
   return opts;
 }
 

@@ -27,7 +27,6 @@ EstimatorOptions EstOptions(uint64_t seed) {
   opts.max_forests = 256;
   opts.target_forests = 256;
   opts.jl_rows = 12;
-  opts.adaptive = false;
   return opts;
 }
 
@@ -93,8 +92,9 @@ StatusOr<CfcmResult> ForestCfcm(const Graph& g, int k,
   return ForestCfcmMaximize(g, k, options);
 }
 
-// Full-solver invariance, including the adaptive Bernstein exits (the
-// per-iteration forest counts pin the convergence decisions too).
+// Full-solver invariance, including the lazy layer's re-score batches
+// and reduced decayed-regime targets (the per-iteration forest counts
+// pin those decisions too).
 void ExpectSolverInvariant(
     const Graph& g, int k,
     StatusOr<CfcmResult> (*solve)(const Graph&, int, const CfcmOptions&)) {
