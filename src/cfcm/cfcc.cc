@@ -64,10 +64,10 @@ ApproxCfcc ApproximateGroupCfcc(const Graph& graph,
 ApproxCfcc ApproximateGroupCfcc(const Graph& graph,
                                 const std::vector<NodeId>& group, int probes,
                                 uint64_t seed, SolverBackend backend,
-                                const CgOptions& cg) {
+                                const CgOptions& cg, ThreadPool* pool) {
   assert(!group.empty());
   const TraceEstimate est =
-      HutchinsonTraceInverse(graph, group, probes, seed, backend, cg);
+      HutchinsonTraceInverse(graph, group, probes, seed, backend, cg, pool);
   ApproxCfcc out;
   out.trace = est.trace;
   out.trace_std_error = est.std_error;

@@ -40,11 +40,13 @@ ApproxCfcc ApproximateGroupCfcc(const Graph& graph,
 
 /// Backend-aware overload: kAuto/kCg keep the pinned per-probe CG path;
 /// kSparseLdlt/kDense factor L_{-S} once and run the probes as direct
-/// solves (same probe vectors — see linalg/hutchinson.h).
+/// solves (same probe vectors). The probes run on `pool` when given,
+/// with bitwise the same result as serially (see linalg/hutchinson.h).
 ApproxCfcc ApproximateGroupCfcc(const Graph& graph,
                                 const std::vector<NodeId>& group, int probes,
                                 uint64_t seed, SolverBackend backend,
-                                const CgOptions& cg = {});
+                                const CgOptions& cg = {},
+                                ThreadPool* pool = nullptr);
 
 /// Validates common CFCM preconditions: connected graph, 1 <= k < n.
 Status ValidateCfcmArguments(const Graph& graph, int k);

@@ -47,6 +47,12 @@ class ThreadPool {
 
   std::size_t num_threads() const { return threads_.size(); }
 
+  /// Threads that run a ParallelFor body: the workers plus the caller,
+  /// or the caller alone on a single-worker pool (it runs loops inline).
+  std::size_t executors() const {
+    return threads_.size() == 1 ? 1 : threads_.size() + 1;
+  }
+
   /// Runs body(index) for every index in [0, count) exactly once,
   /// blocking until all iterations finish. Iterations are distributed
   /// dynamically in chunks; the caller executes chunks too. On a

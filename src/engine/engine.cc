@@ -211,7 +211,18 @@ StatusOr<JobResult> Engine::RunSolve(
   if (trace != nullptr) score_span = trace->BeginSpan("score");
   StatusOr<EvaluateJobResult> eval = EvaluateGroup(
       *snapshot, result.output.selected, probes, job.seed, job.solver_backend);
-  if (trace != nullptr) trace->EndSpan(score_span);
+  if (trace != nullptr) {
+    // Exact scoring is one factor on the calling thread; probes spread
+    // over the session pool's executors, at most one per probe.
+    trace->Annotate("score_probes", probes);
+    trace->Annotate(
+        "score_executors",
+        probes == 0 ? 1
+                    : static_cast<int64_t>(std::min<std::size_t>(
+                          session_->pool().executors(),
+                          static_cast<std::size_t>(probes))));
+    trace->EndSpan(score_span);
+  }
   if (!eval.ok()) return eval.status();
   result.cfcc = eval->cfcc;
   return JobResult(std::move(result));
@@ -330,8 +341,11 @@ StatusOr<EvaluateJobResult> Engine::EvaluateGroup(
     result.cfcc = static_cast<double>(n) / result.trace;
     result.solver_backend = SolverBackendName(resolved);
   } else {
+    // The probes run on the session pool; their samples are summed in
+    // probe order, so C(S) is bitwise the same at any pool size.
     const ApproxCfcc approx =
-        ApproximateGroupCfcc(snapshot.graph(), group, probes, seed, backend);
+        ApproximateGroupCfcc(snapshot.graph(), group, probes, seed, backend,
+                             CgOptions{}, &session_->pool());
     result.cfcc = approx.cfcc;
     result.trace = approx.trace;
     result.trace_std_error = approx.trace_std_error;

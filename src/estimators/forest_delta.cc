@@ -46,7 +46,7 @@ DeltaEstimate ForestDelta(const Graph& graph,
   assert(!s_nodes.empty());
   const TreeScaffold scaffold = MakeTreeScaffold(graph, s_nodes);
   const int w = ResolveJlRows(options, n);
-  const double delta_fail = ResolveBernsteinDelta(options, n);
+  const double delta_fail = ResolveBernsteinDelta(n);
   const double log_term = std::log(3.0 / delta_fail);
   const JlSketch sketch(w, n, options.seed ^ 0x9d2c5680a76b3f01ULL);
   const std::vector<char>* subset = scope.subset;

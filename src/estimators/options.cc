@@ -28,9 +28,6 @@ int ResolveJlRows(const EstimatorOptions& options, NodeId n) {
 }
 
 int ResolveTargetForests(const EstimatorOptions& options, NodeId n) {
-  if (options.target_forests > 0) {
-    return std::min(options.target_forests, options.max_forests);
-  }
   const double derived =
       options.forest_factor / (options.eps * options.eps) * Log2N(n);
   // Clamp before the cast: at small eps `derived` exceeds INT_MAX, where
@@ -40,8 +37,7 @@ int ResolveTargetForests(const EstimatorOptions& options, NodeId n) {
                static_cast<double>(options.max_forests)));
 }
 
-double ResolveBernsteinDelta(const EstimatorOptions& options, NodeId n) {
-  if (options.bernstein_delta > 0) return options.bernstein_delta;
+double ResolveBernsteinDelta(NodeId n) {
   return 1.0 / static_cast<double>(std::max<NodeId>(2, n));
 }
 

@@ -30,21 +30,21 @@ struct EstimatorOptions {
   double eps = 0.2;          ///< error parameter (paper's epsilon)
   uint64_t seed = 1;         ///< base seed; forest i uses stream (seed, i)
   int max_forests = 1024;    ///< hard cap on sampled forests
-  int target_forests = 0;    ///< 0 = derive: forest_factor * eps^-2 * log2 n
   double forest_factor = 1.0;
   int jl_rows = 0;           ///< 0 = derive: clamp(2 log2 n, 8, max_jl_rows)
   int max_jl_rows = 64;
-  double bernstein_delta = 0.0;  ///< 0 = 1/n
 };
 
 /// Number of JL rows w actually used for an n-node graph.
 int ResolveJlRows(const EstimatorOptions& options, NodeId n);
 
-/// Number of forests every estimator call samples.
+/// Number of forests every estimator call samples:
+/// forest_factor * eps^-2 * log2 n, at least kMinBatch, at most
+/// max_forests.
 int ResolveTargetForests(const EstimatorOptions& options, NodeId n);
 
-/// Failure probability delta for Bernstein bounds.
-double ResolveBernsteinDelta(const EstimatorOptions& options, NodeId n);
+/// Failure probability delta = 1/n of the Bernstein widths.
+double ResolveBernsteinDelta(NodeId n);
 
 /// Outcome of one RunSamplingSchedule call.
 struct SampleSchedule {

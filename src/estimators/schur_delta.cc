@@ -126,7 +126,7 @@ SchurDeltaEstimate SchurDelta(const Graph& graph,
          "S and T must be disjoint");
 
   const int w = ResolveJlRows(options, n);
-  const double delta_fail = ResolveBernsteinDelta(options, n);
+  const double delta_fail = ResolveBernsteinDelta(n);
   const double log_term = std::log(3.0 / delta_fail);
   const JlSketch sketch(w, n, options.seed ^ 0xc4ceb9fe1a85ec53ULL);
 

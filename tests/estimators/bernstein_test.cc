@@ -96,10 +96,7 @@ TEST(EstimatorOptionsTest, TinyEpsSaturatesAtCap) {
 }
 
 TEST(EstimatorOptionsTest, DeltaDefaultsToOneOverN) {
-  EstimatorOptions opts;
-  EXPECT_DOUBLE_EQ(ResolveBernsteinDelta(opts, 500), 1.0 / 500);
-  opts.bernstein_delta = 0.01;
-  EXPECT_DOUBLE_EQ(ResolveBernsteinDelta(opts, 500), 0.01);
+  EXPECT_DOUBLE_EQ(ResolveBernsteinDelta(500), 1.0 / 500);
 }
 
 }  // namespace

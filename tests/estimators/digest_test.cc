@@ -17,6 +17,7 @@
 #include "estimators/forest_delta.h"
 #include "estimators/schur_delta.h"
 #include "graph/generators.h"
+#include "test_util.h"
 
 namespace cfcm {
 namespace {
@@ -165,9 +166,8 @@ TEST(EstimatorDigestTest, EveryEstimatorRunsItsTarget) {
   // subset-restricted, still samples exactly its forest target.
   const Graph graph = StarGraph(64);
   ThreadPool pool(2);
-  EstimatorOptions options = PinnedOptions();
-  options.eps = 0.3;
-  options.max_forests = options.target_forests = 1 << 14;
+  EstimatorOptions options = testing::FixedForestOptions(1 << 14);
+  options.seed = PinnedOptions().seed;
 
   const FirstPickResult first = EstimateFirstPick(graph, options, pool);
   EXPECT_EQ(first.forests, 1 << 14);

@@ -7,15 +7,14 @@
 #include "graph/datasets.h"
 #include "graph/generators.h"
 #include "linalg/laplacian.h"
+#include "test_util.h"
 
 namespace cfcm {
 namespace {
 
-EstimatorOptions TestOptions(int max_forests = 4096) {
-  EstimatorOptions opts;
+EstimatorOptions TestOptions(int forests = 4096) {
+  EstimatorOptions opts = testing::FixedForestOptions(forests);
   opts.seed = 11;
-  opts.max_forests = max_forests;
-  opts.target_forests = max_forests;
   return opts;
 }
 

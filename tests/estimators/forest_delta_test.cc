@@ -6,15 +6,14 @@
 
 #include "graph/datasets.h"
 #include "linalg/laplacian.h"
+#include "test_util.h"
 
 namespace cfcm {
 namespace {
 
 EstimatorOptions TestOptions(int forests, int jl_rows = 0) {
-  EstimatorOptions opts;
+  EstimatorOptions opts = testing::FixedForestOptions(forests);
   opts.seed = 21;
-  opts.max_forests = forests;
-  opts.target_forests = forests;
   opts.jl_rows = jl_rows;
   return opts;
 }

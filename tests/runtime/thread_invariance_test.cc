@@ -17,15 +17,14 @@
 #include "estimators/schur_delta.h"
 #include "graph/datasets.h"
 #include "graph/generators.h"
+#include "test_util.h"
 
 namespace cfcm {
 namespace {
 
 EstimatorOptions EstOptions(uint64_t seed) {
-  EstimatorOptions opts;
+  EstimatorOptions opts = testing::FixedForestOptions(256);
   opts.seed = seed;
-  opts.max_forests = 256;
-  opts.target_forests = 256;
   opts.jl_rows = 12;
   return opts;
 }

@@ -27,6 +27,14 @@ std::vector<NamedGraph> PropertyGraphPool() {
   return pool;
 }
 
+EstimatorOptions FixedForestOptions(int forests) {
+  assert(forests >= 1 && forests <= 1000000);
+  EstimatorOptions opts;
+  opts.eps = 1e-3;  // eps^-2 log2 n >= 10^6 once n >= 2
+  opts.max_forests = forests;
+  return opts;
+}
+
 double MaxAbsDiff(const std::vector<double>& a, const std::vector<double>& b) {
   assert(a.size() == b.size());
   double worst = 0;

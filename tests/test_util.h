@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "estimators/options.h"
 #include "graph/graph.h"
 #include "linalg/dense.h"
 
@@ -20,6 +21,11 @@ struct NamedGraph {
   Graph graph;
 };
 std::vector<NamedGraph> PropertyGraphPool();
+
+/// Estimator options that sample exactly `forests` forests per call on
+/// any graph of at least 2 nodes: eps is small enough that the derived
+/// target eps^-2 log2 n saturates max_forests = `forests` (up to 10^6).
+EstimatorOptions FixedForestOptions(int forests);
 
 /// max_u |a[u] - b[u]|.
 double MaxAbsDiff(const std::vector<double>& a, const std::vector<double>& b);
