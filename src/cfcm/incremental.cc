@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <unordered_map>
 #include <utility>
 
 #include "cfcm/cfcc.h"
 #include "cfcm/forest_cfcm.h"
+#include "common/rng.h"
 #include "common/timer.h"
 #include "estimators/forest_delta.h"
 #include "graph/components.h"
@@ -20,8 +22,19 @@ namespace {
 // and never collide with final_seed itself (salt >= 1).
 constexpr uint64_t kSaltStep = 0x9e3779b97f4a7c15ULL;
 
+// Salt multiplier for the per-epoch keep-decision streams, distinct
+// from kSaltStep so a keep draw never shares a stream with a resample.
+constexpr uint64_t kKeepSaltStep = 0xbb67ae8584caa73bULL;
+
 // Per-selection-member seed perturbation for the Phase B re-contests.
 constexpr uint64_t kSwapSeedStep = 0x6a09e667f3bcc909ULL;
+
+// One changed edge's conductance ratio rho = w'/w (0 for a removal).
+struct EdgeRatio {
+  NodeId u = -1;
+  NodeId v = -1;
+  double rho = 1.0;
+};
 
 // Candidate pool size for the warm repair phases.
 constexpr std::size_t kWarmContenders = 16;
@@ -133,22 +146,10 @@ std::shared_ptr<const WarmState> BuildWarmState(const Graph& graph,
 std::shared_ptr<const WarmState> AdvanceWarmState(const WarmState& state,
                                                   const Graph& pre_graph,
                                                   const GraphDelta& delta) {
-  auto next = std::make_shared<WarmState>();
-  next->eps = state.eps;
-  next->seed = state.seed;
-  next->selection = state.selection;
-  next->gains = state.gains;
-  next->keys = state.keys;
-  next->last_gain = state.last_gain;
-  next->final_seed = state.final_seed;
-  next->base_result = state.base_result;
-  next->touched = state.touched;
-  next->structural = state.structural;
-  next->overflow = state.overflow;
-  next->addition_share = state.addition_share;
-  next->source_n = state.source_n;
-  next->epoch_salt = state.epoch_salt + 1;
-  next->clean = state.clean;
+  auto next = std::make_shared<WarmState>(state);
+  next->lease = nullptr;
+  next->clean.clear();
+  ++next->epoch_salt;
 
   // The edges this delta changes, endpoint-classifiable against the
   // retained forests (both endpoints in the source graph's id space).
@@ -160,9 +161,23 @@ std::shared_ptr<const WarmState> AdvanceWarmState(const WarmState& state,
     }
     fresh.push_back({u, v, abs_dw});
   };
+  // rho_e = w'/w per changed edge (0 for a removal). A repeated reweight
+  // of one edge overwrites its ratio: the last one applied wins.
+  std::vector<EdgeRatio> ratios;
+  std::unordered_map<uint64_t, std::size_t> ratio_of;
+  auto set_ratio = [&](NodeId u, NodeId v, double rho) {
+    const auto [it, inserted] =
+        ratio_of.emplace(UndirectedEdgeKey(u, v), ratios.size());
+    if (inserted) {
+      ratios.push_back({u, v, rho});
+    } else {
+      ratios[it->second].rho = rho;
+    }
+  };
 
   for (const auto& e : delta.reweight_edges()) {
     const double old_w = pre_graph.EdgeWeight(e.u, e.v);
+    set_ratio(e.u, e.v, e.weight / old_w);
     const double dw = std::abs(e.weight - old_w);
     if (dw == 0.0) continue;  // no-op reweight: the graph is unchanged
     record(e.u, e.v, dw);
@@ -170,61 +185,57 @@ std::shared_ptr<const WarmState> AdvanceWarmState(const WarmState& state,
   for (const auto& [u, v] : delta.remove_edges()) {
     next->structural = true;
     record(u, v, pre_graph.EdgeWeight(u, v));
+    set_ratio(u, v, 0.0);
   }
   const NodeId pre_n = pre_graph.num_nodes();
   for (const auto& e : delta.add_edges()) {
     next->structural = true;
-    if (e.u < pre_n && e.v < pre_n) {
-      record(e.u, e.v, e.weight);
-      // Support break: no retained forest can contain the new edge.
-      // Bound the probability a post-delta forest uses it by the
-      // step-probability sum from either endpoint and resample that
-      // share of the retained forests (DESIGN.md §16).
-      next->addition_share +=
-          e.weight / (pre_graph.weighted_degree(e.u) + e.weight) +
-          e.weight / (pre_graph.weighted_degree(e.v) + e.weight);
-    } else {
-      // Edge onto a just-added node: retained forests (old id space)
-      // cannot contain it, and the new node joins the contender pool
-      // unconditionally, so no touched record is needed — but the
-      // support-break share still applies through the old endpoint.
-      const NodeId old_end = e.u < pre_n ? e.u : (e.v < pre_n ? e.v : -1);
-      if (old_end >= 0) {
-        next->addition_share +=
-            e.weight / (pre_graph.weighted_degree(old_end) + e.weight);
-      }
-    }
+    // An edge onto a just-added node needs no touched record: the new
+    // node joins the contender pool unconditionally.
+    if (e.u < pre_n && e.v < pre_n) record(e.u, e.v, e.weight);
   }
-
-  // Classify retained forests against the fresh touched edges. Needs
-  // exclusive arena access; when an in-flight warm solve holds the
-  // lease the successor simply carries no arena (still warm-startable
-  // from the gains/keys alone).
-  const bool arena_usable = state.lease != nullptr && !next->overflow &&
-                            delta.add_nodes() == 0;
-  if (arena_usable && state.lease->TryClaim()) {
-    ForestArena& arena = state.lease->arena;
-    const int committed = arena.committed();
-    next->clean.resize(static_cast<std::size_t>(committed), 0);
-    for (const auto& e : fresh) {
-      if (e.u >= state.source_n || e.v >= state.source_n) continue;
-      const uint64_t key = UndirectedEdgeKey(e.u, e.v);
-      for (int f = 0; f < committed; ++f) {
-        if (!next->clean[static_cast<std::size_t>(f)]) continue;
-        if (arena.MaybeContainsEdge(f, key) && arena.ContainsUpEdge(f, e.u, e.v)) {
-          next->clean[static_cast<std::size_t>(f)] = 0;
-        }
-      }
-    }
-    auto lease = std::make_shared<ArenaLease>();
-    lease->arena = std::move(arena);
-    next->lease = std::move(lease);
-  } else {
-    next->lease = nullptr;
-    next->clean.clear();
-  }
-
   next->touched.insert(next->touched.end(), fresh.begin(), fresh.end());
+
+  // The keep rule needs exclusive arena access; when an in-flight warm
+  // solve holds the lease the successor simply carries no arena (still
+  // warm-startable from the gains/keys alone).
+  if (state.lease == nullptr || !state.lease->TryClaim()) return next;
+  ForestArena& arena = state.lease->arena;
+  if (next->overflow || delta.add_nodes() > 0 || !delta.add_edges().empty()) {
+    // No retained forest can contain an added edge, so no keep rule is
+    // exact: an addition replays nothing. Free the slabs now rather
+    // than when the predecessor state retires.
+    arena = ForestArena();
+    return next;
+  }
+
+  // Keep rule (DESIGN.md §16): Wilson forests have P(F) proportional to
+  // prod_{e in F} w_e, so keeping F with probability
+  // prod_{e in F} rho_e / prod_e max(1, rho_e) leaves every kept forest
+  // an exact sample on the post-delta graph. Both products run in list
+  // order, so a forest whose ratio equals the bound keeps without a
+  // draw, and a removal (rho = 0) rejects without one.
+  double bound = 1.0;
+  for (const auto& r : ratios) bound *= std::max(1.0, r.rho);
+  const uint64_t keep_seed =
+      state.final_seed ^ (kKeepSaltStep * next->epoch_salt);
+  const int committed = arena.committed();
+  next->clean = state.clean;
+  next->clean.resize(static_cast<std::size_t>(committed), 0);
+  for (int f = 0; f < committed; ++f) {
+    char& kept = next->clean[static_cast<std::size_t>(f)];
+    if (!kept) continue;
+    double ratio = 1.0;
+    for (const auto& r : ratios) {
+      if (arena.ContainsUpEdge(f, r.u, r.v)) ratio *= r.rho;
+    }
+    const double p = ratio / bound;
+    if (p < 1.0 && !(p > 0.0 && Rng(keep_seed, f).NextDouble() < p)) {
+      kept = 0;
+    }
+  }
+  next->lease = std::make_shared<ArenaLease>();
+  next->lease->arena = std::move(arena);
   return next;
 }
 
@@ -249,7 +260,6 @@ WarmDecision DecideWarm(const Graph& graph, const WarmState* state, int k,
       kWarmMaxDeltaFraction * m) {
     return {false, "delta_too_large"};
   }
-  if (state->addition_share >= 0.5) return {false, "addition_share"};
   if (!IsConnected(graph)) return {false, "disconnected"};
   return {true, "ok"};
 }
@@ -316,18 +326,21 @@ StatusOr<CfcmResult> ForestSolveWithWarm(const Graph& graph, int k,
       TopContenders(state, in_s, kWarmContenders);
 
   // Exclusive arena access for the whole repair; AdvanceWarmState and
-  // concurrent warm solves on the same state race for the same claim,
-  // losers just sample fresh.
+  // concurrent warm solves on the same state race for the same claim.
+  // A loser, or a state without an arena, samples Phase A into a fresh
+  // arena, so the successor deposit always has one to adopt.
   std::shared_ptr<ArenaLease> lease;
   if (state.lease != nullptr && n == state.source_n &&
       state.lease->TryClaim()) {
     lease = state.lease;
+  } else {
+    lease = std::make_shared<ArenaLease>();
   }
 
   // ---- Phase A: re-certify the incumbent's final pick. One
   // subset-restricted estimate rooted at selection[0..k-2] on the
-  // final-round stream — clean forests replay verbatim, dirty ones and
-  // the addition-correction share resample from the salted stream.
+  // final-round stream — kept forests replay verbatim, rejected ones
+  // resample from the salted stream.
   std::vector<NodeId> s_prev(selection.begin(), selection.end() - 1);
   const NodeId incumbent = selection.back();
   std::vector<char> mask(static_cast<std::size_t>(n), 0);
@@ -341,25 +354,16 @@ StatusOr<CfcmResult> ForestSolveWithWarm(const Graph& graph, int k,
   est.seed = state.final_seed;
   DeltaScope scope;
   scope.subset = &mask;
+  scope.arena = &lease->arena;
   std::vector<char> replay;
   int committed_before = 0;
   const uint64_t salt = std::max<uint64_t>(state.epoch_salt, 1);
-  if (lease != nullptr &&
-      lease->arena.MatchesRound(n, s_prev, state.final_seed)) {
+  // A matching arena always gets a replay plan: without one ForestDelta
+  // would replay its rejected forests verbatim.
+  if (lease->arena.MatchesRound(n, s_prev, state.final_seed)) {
     committed_before = lease->arena.committed();
     replay = state.clean;
     replay.resize(static_cast<std::size_t>(committed_before), 0);
-    // Importance correction for edge additions: force-resample the
-    // highest-indexed clean slots until the share is covered.
-    int forced = static_cast<int>(
-        std::ceil(state.addition_share * committed_before));
-    for (int f = committed_before - 1; f >= 0 && forced > 0; --f) {
-      if (replay[static_cast<std::size_t>(f)]) {
-        replay[static_cast<std::size_t>(f)] = 0;
-        --forced;
-      }
-    }
-    scope.arena = &lease->arena;
     scope.replay_clean = &replay;
     scope.resample_seed = state.final_seed ^ (kSaltStep * salt);
   }
@@ -486,22 +490,19 @@ StatusOr<CfcmResult> ForestSolveWithWarm(const Graph& graph, int k,
     next->base_result = result;
     next->source_n = n;
     next->epoch_salt = state.epoch_salt + 1;
-    if (lease != nullptr) {
-      const std::vector<NodeId> new_prev(selection.begin(),
-                                         selection.end() - 1);
-      if (lease->arena.MatchesRound(n, new_prev, state.final_seed)) {
-        const int committed_now = lease->arena.committed();
-        next->clean.assign(static_cast<std::size_t>(committed_now), 1);
-        // Slots past this solve's batch count keep their pre-solve
-        // classification (they were neither replayed nor resampled).
-        for (int f = a.forests; f < committed_before; ++f) {
-          next->clean[static_cast<std::size_t>(f)] =
-              replay[static_cast<std::size_t>(f)];
-        }
-        auto fresh_lease = std::make_shared<ArenaLease>();
-        fresh_lease->arena = std::move(lease->arena);
-        next->lease = std::move(fresh_lease);
+    const std::vector<NodeId> new_prev(selection.begin(), selection.end() - 1);
+    if (lease->arena.MatchesRound(n, new_prev, state.final_seed)) {
+      const int committed_now = lease->arena.committed();
+      next->clean.assign(static_cast<std::size_t>(committed_now), 1);
+      // Slots past this solve's batch count keep their pre-solve
+      // classification (they were neither replayed nor resampled).
+      for (int f = a.forests; f < committed_before; ++f) {
+        next->clean[static_cast<std::size_t>(f)] =
+            replay[static_cast<std::size_t>(f)];
       }
+      auto fresh_lease = std::make_shared<ArenaLease>();
+      fresh_lease->arena = std::move(lease->arena);
+      next->lease = std::move(fresh_lease);
     }
     *deposit = std::move(next);
   }

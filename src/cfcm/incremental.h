@@ -3,20 +3,21 @@
 // A solve on epoch e leaves behind a WarmState: the selected group, the
 // final greedy round's per-candidate gains/keys, and that round's
 // forest arena. GraphSession::Mutate folds each applied delta into the
-// state (AdvanceWarmState): every retained forest is classified as
-// *clean* — none of its loop-erased walks crossed a changed edge, so it
-// remains a valid sample of the post-delta forest measure conditioned
-// on avoiding the delta edges — or *dirty* (resampled from an
-// independent stream on the new graph). Edge additions break the
-// proposal support entirely (no retained forest can contain the new
-// edge), so they additionally force an importance-correction resample
-// share sized by the same degree-ratio bound the Bernstein machinery
-// uses for z floors. A warm solve (ForestSolveWithWarm) then re-scores
-// only the incumbent group plus a small contender pool on the
-// partially-replayed forest stream and repairs the selection by
-// swap-based local search, instead of rebuilding greedy rounds 1..k.
-// Cold fallback triggers (delta too large, disconnection, parameter
-// drift, k change) keep correctness independent of locality.
+// state (AdvanceWarmState). For reweights and removals every retained
+// forest F is kept with probability prod_{e in F} rho_e /
+// prod_e max(1, rho_e), rho_e = w'_e / w_e (0 for a removal): Wilson
+// forests have P(F) proportional to prod_{e in F} w_e, so this is
+// rejection sampling and every kept forest is an exact sample on the
+// post-delta graph. Rejected slots are resampled from an independent
+// stream on the new graph. No retained forest can contain an added
+// edge, so a delta that adds an edge or a node replays nothing: the
+// successor carries no arena. A warm solve (ForestSolveWithWarm) then
+// re-scores only the incumbent group plus a small contender pool on
+// that forest stream, sampling a fresh arena when it has none, and
+// repairs the selection by swap-based local search instead of
+// rebuilding greedy rounds 1..k. Cold fallback triggers (delta too
+// large, disconnection, parameter drift, k change) keep correctness
+// independent of locality.
 #ifndef CFCM_CFCM_INCREMENTAL_H_
 #define CFCM_CFCM_INCREMENTAL_H_
 
@@ -52,11 +53,11 @@ std::optional<WarmMode> ParseWarmMode(std::string_view name);
 /// \brief One-shot exclusive lease on a retained forest arena.
 ///
 /// The arena's slabs are mutated in place by whichever consumer wins
-/// the claim (a warm solve overwriting dirty slots, or Mutate moving
-/// the arena into the successor state), while WarmState objects are
-/// immutable and shared across epochs/threads. Every transfer creates a
-/// fresh lease; a lease that was claimed but never transferred simply
-/// retires with its owner.
+/// the claim (a warm solve overwriting rejected slots, or Mutate moving
+/// the arena into the successor state or freeing it), while WarmState
+/// objects are immutable and shared across epochs/threads. Every
+/// transfer creates a fresh lease; a lease that was claimed but never
+/// transferred simply retires with its owner.
 struct ArenaLease {
   ForestArena arena;
   std::atomic<bool> claimed{false};
@@ -69,7 +70,7 @@ struct ArenaLease {
 
 /// \brief Everything a successor epoch needs to warm-start: the
 /// previous selection and final-round candidate scores, the retained
-/// forest arena with its per-forest clean/dirty classification, and a
+/// forest arena with its per-forest keep decisions, and a
 /// running summary of the deltas applied since the state was built.
 /// Immutable once published (the arena hides behind ArenaLease).
 struct WarmState {
@@ -91,7 +92,8 @@ struct WarmState {
   /// producing round kept none or a later epoch dropped it.
   std::shared_ptr<ArenaLease> lease;
   /// Per-forest flags aligned with the arena's committed prefix:
-  /// nonzero = clean (replayable verbatim on the current graph).
+  /// nonzero = clean (kept by every keep draw since it was sampled, so
+  /// an exact sample on the current graph; replayable verbatim).
   std::vector<char> clean;
 
   /// One accumulated delta edge: endpoints in the source graph's id
@@ -105,11 +107,6 @@ struct WarmState {
   std::vector<TouchedEdge> touched;  ///< changed edges since the solve
   bool structural = false;   ///< any removal/addition since the solve
   bool overflow = false;     ///< touched-list cap hit; summary unusable
-  /// Importance-correction resample share for edge additions: the
-  /// probability bound that a post-delta forest uses any added edge,
-  /// sum over additions of w'/(d_w(u)+w') + w'/(d_w(v)+w'). The warm
-  /// solve force-resamples ceil(share * committed) clean slots.
-  double addition_share = 0.0;
   NodeId source_n = 0;       ///< node count of the solved graph
   uint64_t epoch_salt = 0;   ///< advances since capture; salts the
                              ///< resample RNG stream
@@ -145,10 +142,12 @@ std::shared_ptr<const WarmState> BuildWarmState(const Graph& graph,
 /// `pre_graph` is the graph the delta applies to (BEFORE application,
 /// for old conductance lookups). No-op reweights are skipped entirely,
 /// so an identity delta advances to an identical state and the warm
-/// fast path returns the stored result verbatim. Classification runs
+/// fast path returns the stored result verbatim. The keep rule runs
 /// only if the arena lease can be claimed here; otherwise (an in-flight
-/// warm solve holds it) the successor simply carries no arena.
-/// Thread-safe against concurrent readers of `state`.
+/// warm solve holds it) the successor simply carries no arena. A delta
+/// that adds an edge or a node claims the lease and frees the arena:
+/// the successor carries none. Thread-safe against concurrent readers
+/// of `state`.
 std::shared_ptr<const WarmState> AdvanceWarmState(const WarmState& state,
                                                   const Graph& pre_graph,
                                                   const GraphDelta& delta);
@@ -161,8 +160,8 @@ struct WarmDecision {
 
 /// The fallback policy of DESIGN.md §16, exported for tests. `state`
 /// may be null. Checks parameter/k drift, disconnection, the touched
-/// fraction against kWarmMaxDeltaFraction, the addition share, node
-/// growth and summary overflow.
+/// fraction against kWarmMaxDeltaFraction, node growth and summary
+/// overflow.
 WarmDecision DecideWarm(const Graph& graph, const WarmState* state, int k,
                         const CfcmOptions& options);
 

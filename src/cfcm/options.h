@@ -85,7 +85,7 @@ struct WorkCounters {
   std::int64_t forests_reused = 0;       ///< arena replays (no walks)
 
   // -- incremental warm start (DESIGN.md §16). Zero on cold solves.
-  std::int64_t forests_resampled = 0;  ///< dirty/extension forests drawn
+  std::int64_t forests_resampled = 0;  ///< rejected/extension forests drawn
   std::int64_t swap_moves = 0;         ///< repair swaps applied
 };
 

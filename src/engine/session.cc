@@ -174,7 +174,7 @@ StatusOr<GraphSession::VersionedSnapshot> GraphSession::Mutate(
   auto fresh = std::make_shared<const GraphSnapshot>(std::move(*next));
   record.parent_fingerprint = current->fingerprint();
 
-  // Advance the warm state across the delta (classification of the
+  // Advance the warm state across the delta (the keep rule over the
   // retained forests; serialized with other mutators by mutate_mu_).
   std::shared_ptr<const cfcm::WarmState> advanced;
   {

@@ -55,7 +55,7 @@ struct DeltaScope {
   double forest_scale = 1.0;
   /// Incremental replay plan (DESIGN.md §16): with `replay_clean` set,
   /// committed arena forests are replayed only where the mask is
-  /// nonzero; dirty committed slots resample from Rng(resample_seed, f)
+  /// nonzero; rejected committed slots resample from Rng(resample_seed, f)
   /// and overwrite their slot. Requires `arena`.
   const std::vector<char>* replay_clean = nullptr;
   uint64_t resample_seed = 0;

@@ -45,7 +45,7 @@ std::int64_t JlForestKernel::ProcessForest(std::size_t slot,
     ws.forest = &ws.replay;
     reused_.fetch_add(1, std::memory_order_relaxed);
   } else {
-    // A stored-but-dirty slot resamples from the resample stream, never
+    // A stored-but-rejected slot resamples from the resample stream, never
     // the base stream: (seed_, forest_index) already produced the
     // rejected forest, so drawing from it again would not be an
     // independent sample of the post-delta measure.

@@ -5,18 +5,6 @@
 #include <cstring>
 
 namespace cfcm {
-namespace {
-
-// splitmix64 finalizer — turns an UndirectedEdgeKey into two independent
-// bit positions in [0, 128) for the per-forest Bloom signature.
-inline uint64_t MixEdgeKey(uint64_t key) {
-  key += 0x9e3779b97f4a7c15ULL;
-  key = (key ^ (key >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  key = (key ^ (key >> 27)) * 0x94d049bb133111ebULL;
-  return key ^ (key >> 31);
-}
-
-}  // namespace
 
 void ForestArena::BeginRound(NodeId n, const std::vector<NodeId>& roots,
                              uint64_t seed, int capacity) {
@@ -27,14 +15,13 @@ void ForestArena::BeginRound(NodeId n, const std::vector<NodeId>& roots,
     committed_ = 0;
     leaves_len_ = n - static_cast<NodeId>(roots.size());
   }
-  if (capacity > capacity_) {
-    capacity_ = capacity;
-    const std::size_t cap = static_cast<std::size_t>(capacity_);
-    parent_slab_.resize(cap * static_cast<std::size_t>(n_));
-    leaves_slab_.resize(cap * static_cast<std::size_t>(leaves_len_));
-    root_of_slab_.resize(cap * static_cast<std::size_t>(n_));
-    signature_slab_.resize(cap * static_cast<std::size_t>(kSignatureWords));
-  }
+  capacity_ = std::max(capacity_, capacity);
+  // Sized from this round's n, not only when capacity grows: a round
+  // with a larger n at the same capacity needs larger slabs.
+  const std::size_t cap = static_cast<std::size_t>(capacity_);
+  parent_slab_.resize(cap * static_cast<std::size_t>(n_));
+  leaves_slab_.resize(cap * static_cast<std::size_t>(leaves_len_));
+  root_of_slab_.resize(cap * static_cast<std::size_t>(n_));
 }
 
 bool ForestArena::MatchesRound(NodeId n, const std::vector<NodeId>& roots,
@@ -54,28 +41,6 @@ void ForestArena::Store(int f, const RootedForest& forest) {
               sizeof(NodeId) * forest.leaves_first.size());
   std::memcpy(root_of_slab_.data() + nf * static_cast<std::size_t>(n_),
               forest.root_of.data(), sizeof(NodeId) * forest.root_of.size());
-  uint64_t* sig = signature_slab_.data() + nf * kSignatureWords;
-  sig[0] = sig[1] = 0;
-  for (NodeId u = 0; u < n_; ++u) {
-    const NodeId p = forest.parent[static_cast<std::size_t>(u)];
-    if (p < 0) continue;  // root
-    const uint64_t h = MixEdgeKey(UndirectedEdgeKey(u, p));
-    const unsigned b0 = static_cast<unsigned>(h & 127u);
-    const unsigned b1 = static_cast<unsigned>((h >> 7) & 127u);
-    sig[b0 >> 6] |= uint64_t{1} << (b0 & 63u);
-    sig[b1 >> 6] |= uint64_t{1} << (b1 & 63u);
-  }
-}
-
-bool ForestArena::MaybeContainsEdge(int f, uint64_t edge_key) const {
-  assert(f >= 0 && f < committed_);
-  const uint64_t* sig =
-      signature_slab_.data() + static_cast<std::size_t>(f) * kSignatureWords;
-  const uint64_t h = MixEdgeKey(edge_key);
-  const unsigned b0 = static_cast<unsigned>(h & 127u);
-  const unsigned b1 = static_cast<unsigned>((h >> 7) & 127u);
-  return (sig[b0 >> 6] >> (b0 & 63u) & 1u) != 0 &&
-         (sig[b1 >> 6] >> (b1 & 63u) & 1u) != 0;
 }
 
 bool ForestArena::ContainsUpEdge(int f, NodeId u, NodeId v) const {

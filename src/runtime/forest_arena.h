@@ -32,7 +32,9 @@ class ForestArena {
   /// stream seed `seed`, with room for `capacity` forests. When the
   /// (n, roots, seed) signature matches the current round the stored
   /// forests stay valid (capacity may still grow); otherwise the arena
-  /// forgets its forests but keeps the slab memory.
+  /// forgets its forests but keeps the slab memory. The slabs are
+  /// resized to capacity() forests of the round's n on every call, so a
+  /// round with a larger n fits at an unchanged capacity.
   void BeginRound(NodeId n, const std::vector<NodeId>& roots, uint64_t seed,
                   int capacity);
 
@@ -58,13 +60,6 @@ class ForestArena {
   /// bitwise identical to the RootedForest passed to Store().
   void LoadInto(int f, RootedForest* out) const;
 
-  /// Bloom pre-filter over forest f's up-edge set: false means no walk
-  /// of the stored forest crossed the undirected edge with this
-  /// UndirectedEdgeKey; true may be a false positive (confirm with
-  /// ContainsUpEdge). 128 bits / 2 hash probes per forest, filled by
-  /// Store() from the parent array.
-  bool MaybeContainsEdge(int f, uint64_t edge_key) const;
-
   /// Exact membership test: forest f (must be < committed()) uses
   /// {u, v} as an up-edge, i.e. parent[u] == v or parent[v] == u.
   bool ContainsUpEdge(int f, NodeId u, NodeId v) const;
@@ -82,10 +77,6 @@ class ForestArena {
   std::vector<NodeId> parent_slab_;
   std::vector<NodeId> leaves_slab_;
   std::vector<NodeId> root_of_slab_;
-  // Per-forest 128-bit edge-set Bloom signature (kSignatureWords words).
-  std::vector<uint64_t> signature_slab_;
-
-  static constexpr int kSignatureWords = 2;
 };
 
 }  // namespace cfcm

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -279,6 +280,10 @@ void Server::AcceptLoop() {
       if (errno == EINTR) continue;
       return;  // listener closed during shutdown (or fatal error)
     }
+    // Responses are single small writes: send each one at once instead
+    // of holding it back for the peer's delayed ACK (Nagle).
+    const int nodelay = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
     if (options_.write_timeout_seconds > 0) {
       timeval timeout{};
       timeout.tv_sec = options_.write_timeout_seconds;

@@ -9,12 +9,17 @@
 //    threads produce bitwise identical selections.
 // 4. The DecideWarm fallback policy fires for every documented trigger
 //    (missing state, k drift, parameter drift, oversized delta,
-//    addition support break, disconnection), and a kOn solve that falls
-//    back reports cold_fallback without warm_started.
+//    disconnection), and a kOn solve that falls back reports
+//    cold_fallback without warm_started. An edge addition is not a
+//    trigger: it runs warm and replays nothing.
 // 5. AdvanceWarmState folds deltas into the running summary: touched
 //    edges accumulate, structural flags flip on removals/additions, and
-//    the retained forests keep a clean/dirty classification.
+//    the retained forests pass the keep rule.
+// 6. The keep rule samples the post-delta forest measure: after one or
+//    several reweights of an edge, the share of committed forests that
+//    use it matches fresh sampling on the new graph.
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -24,6 +29,8 @@
 #include "cfcm/cfcc.h"
 #include "cfcm/incremental.h"
 #include "cfcm/options.h"
+#include "common/rng.h"
+#include "forest/wilson.h"
 #include "graph/builder.h"
 #include "graph/datasets.h"
 #include "graph/delta.h"
@@ -197,13 +204,13 @@ TEST(WarmDeterminismTest, ThreadCountInvariant) {
 
 TEST(WarmDepositTest, EvictedIncumbentKeepsItsPhaseAGain) {
   // A heavy reweight at the first pick makes Phase A swap out the final
-  // pick (karate, k = 4, seed 4) and Phase B re-contest the first pick.
+  // pick (karate, k = 4, seed 1) and Phase B re-contest the first pick.
   // The successor state must fold Phase A's refreshed gains, so the
   // evicted incumbent re-enters the contender pool with a positive key
   // instead of the 0 it carried as a selection member.
   const Graph g = KarateClub();
   const int k = 4;
-  const CfcmOptions options = Opts(4);
+  const CfcmOptions options = Opts(1);
   std::shared_ptr<const WarmState> deposit;
   const auto cold = ColdSolve(g, k, options, &deposit);
   ASSERT_TRUE(cold.ok());
@@ -280,23 +287,54 @@ TEST(DecideWarmTest, OversizedDeltaFallsBackCold) {
   EXPECT_TRUE(solved->cold_fallback);
 }
 
-TEST(DecideWarmTest, HeavyAdditionBreaksProposalSupport) {
+TEST(DecideWarmTest, HeavyAdditionRunsWarmAndReplaysNothing) {
   const Graph g = KarateClub();
   const CfcmOptions options = Opts(1);
   std::shared_ptr<const WarmState> deposit;
   ASSERT_TRUE(ColdSolve(g, 4, options, &deposit).ok());
+  ASSERT_NE(deposit->lease, nullptr);
 
-  // A dominant new edge: a post-delta forest almost surely crosses it,
-  // so the importance-correction share exceeds the 0.5 ceiling.
+  // No retained forest can contain a new edge, so the successor carries
+  // no arena; the advance claims the predecessor's lease to free it.
   GraphDelta heavy;
   ASSERT_FALSE(g.HasEdge(15, 18));
   heavy.AddEdge(15, 18, 1000.0);
   const auto g2 = g.Apply(heavy);
   ASSERT_TRUE(g2.ok());
   const auto advanced = AdvanceWarmState(*deposit, g, heavy);
-  EXPECT_GE(advanced->addition_share, 0.5);
-  EXPECT_STREQ(DecideWarm(*g2, advanced.get(), 4, options).reason,
-               "addition_share");
+  EXPECT_EQ(advanced->lease, nullptr);
+  EXPECT_TRUE(advanced->clean.empty());
+  EXPECT_FALSE(deposit->lease->TryClaim());
+  EXPECT_STREQ(DecideWarm(*g2, advanced.get(), 4, options).reason, "ok");
+
+  // The warm solve samples Phase A fresh and deposits that arena with
+  // every slot clean.
+  std::shared_ptr<const WarmState> next;
+  const auto warm =
+      WarmSolve(*g2, 4, options, WarmMode::kOn, advanced, &next);
+  ASSERT_TRUE(warm.ok());
+  EXPECT_TRUE(warm->warm_started);
+  EXPECT_EQ(warm->forests_reused, 0);
+  EXPECT_EQ(warm->forests_resampled, 0);
+  ASSERT_NE(next, nullptr);
+  ASSERT_NE(next->lease, nullptr);
+  ASSERT_EQ(next->clean.size(),
+            static_cast<std::size_t>(next->lease->arena.committed()));
+  ASSERT_FALSE(next->clean.empty());
+  for (char c : next->clean) EXPECT_NE(c, 0);
+
+  // So the next epoch replays again.
+  GraphDelta touch;
+  touch.ReweightEdge(0, 1, 1.1);
+  const auto g3 = g2->Apply(touch);
+  ASSERT_TRUE(g3.ok());
+  const auto advanced2 = AdvanceWarmState(*next, *g2, touch);
+  ASSERT_NE(advanced2->lease, nullptr);
+  const auto warm2 =
+      WarmSolve(*g3, 4, options, WarmMode::kOn, advanced2, nullptr);
+  ASSERT_TRUE(warm2.ok());
+  EXPECT_TRUE(warm2->warm_started);
+  EXPECT_GT(warm2->forests_reused, 0);
 }
 
 TEST(DecideWarmTest, DisconnectingDeltaFallsBackCold) {
@@ -345,10 +383,9 @@ TEST(AdvanceWarmStateTest, AccumulatesTouchedEdgesAndFlags) {
 }
 
 TEST(AdvanceWarmStateTest, RetainedForestsKeepCleanDirtySplit) {
-  // The deposit carries the final greedy round's arena; a 1-edge
-  // reweight dirties exactly the forests whose up-edge set crosses it —
-  // on karate that is a strict minority, so both classes must appear
-  // non-trivially or not at all (never all-dirty).
+  // The deposit carries the final greedy round's arena. Doubling the
+  // weight of (0, 1) keeps every forest that uses it and half of the
+  // others (rho = 2 over the bound 2), so both classes appear.
   const Graph g = KarateClub();
   std::shared_ptr<const WarmState> deposit;
   ASSERT_TRUE(ColdSolve(g, 4, Opts(1), &deposit).ok());
@@ -394,6 +431,157 @@ TEST(AdvanceWarmStateTest, NodeAdditionCarriesNoArenaButStaysWarm) {
       WarmSolve(*g2, 4, options, WarmMode::kOn, advanced, nullptr);
   ASSERT_TRUE(warm.ok());
   EXPECT_TRUE(warm->warm_started);
+}
+
+TEST(AdvanceWarmStateTest, RemovalOnlyDeltaKeepsPinnedClassification) {
+  // A removal has rho = 0: the keep rule rejects exactly the forests
+  // that use a removed edge and draws nothing. The classification and
+  // the warm solve that replays it were recorded before the keep rule
+  // replaced the clean/dirty test.
+  const Graph g = KarateClub();
+  const CfcmOptions options = Opts(1);
+  std::shared_ptr<const WarmState> deposit;
+  ASSERT_TRUE(ColdSolve(g, 4, options, &deposit).ok());
+
+  GraphDelta cut;
+  cut.RemoveEdge(0, 31);
+  cut.RemoveEdge(32, 33);
+  const auto g2 = g.Apply(cut);
+  ASSERT_TRUE(g2.ok());
+  const auto advanced = AdvanceWarmState(*deposit, g, cut);
+  ASSERT_NE(advanced->lease, nullptr);
+  const ForestArena& arena = advanced->lease->arena;
+  ASSERT_EQ(advanced->clean.size(),
+            static_cast<std::size_t>(arena.committed()));
+  uint64_t digest = 1469598103934665603ull;  // FNV-1a over the flags
+  int kept = 0;
+  for (int f = 0; f < arena.committed(); ++f) {
+    const char c = advanced->clean[static_cast<std::size_t>(f)];
+    EXPECT_EQ(c != 0, !arena.ContainsUpEdge(f, 0, 31) &&
+                          !arena.ContainsUpEdge(f, 32, 33))
+        << "forest " << f;
+    kept += c != 0 ? 1 : 0;
+    digest = (digest ^ static_cast<unsigned char>(c != 0)) * 1099511628211ull;
+  }
+  EXPECT_EQ(arena.committed(), 128);
+  EXPECT_EQ(kept, 76);
+  EXPECT_EQ(digest, 0x21efa66481234175ull);
+
+  const auto warm =
+      WarmSolve(*g2, 4, options, WarmMode::kOn, advanced, nullptr);
+  ASSERT_TRUE(warm.ok());
+  EXPECT_TRUE(warm->warm_started);
+  EXPECT_EQ(warm->selected, (std::vector<NodeId>{0, 25, 16, 33}));
+  EXPECT_EQ(warm->forests_reused, 76);
+  EXPECT_EQ(warm->forests_resampled, 52);
+}
+
+TEST(AdvanceWarmStateTest, RepeatedReweightUsesTheLastWeight) {
+  // Apply lets the last reweight of an edge win. Here the last one
+  // restores the old weight, so rho = 1 and every forest is kept.
+  const Graph g = KarateClub();
+  std::shared_ptr<const WarmState> deposit;
+  ASSERT_TRUE(ColdSolve(g, 4, Opts(1), &deposit).ok());
+  GraphDelta there_and_back;
+  there_and_back.ReweightEdge(0, 1, 2.0);
+  there_and_back.ReweightEdge(0, 1, g.EdgeWeight(0, 1));
+  const auto advanced = AdvanceWarmState(*deposit, g, there_and_back);
+  ASSERT_NE(advanced->lease, nullptr);
+  ASSERT_EQ(advanced->clean.size(), deposit->clean.size());
+  for (char c : advanced->clean) EXPECT_NE(c, 0);
+}
+
+// ------------------------------- keep rule vs fresh sampling (§16)
+
+/// Forests in `arena`'s committed prefix that use edge {u, v}.
+int ForestsUsingEdge(const ForestArena& arena, NodeId u, NodeId v) {
+  int count = 0;
+  for (int f = 0; f < arena.committed(); ++f) {
+    count += arena.ContainsUpEdge(f, u, v) ? 1 : 0;
+  }
+  return count;
+}
+
+/// Of `forests` fresh forests on `g` rooted at `roots`, those using
+/// edge {u, v}.
+int FreshForestsUsingEdge(const Graph& g, const std::vector<NodeId>& roots,
+                          NodeId u, NodeId v, int forests, uint64_t seed) {
+  std::vector<char> is_root(static_cast<std::size_t>(g.num_nodes()), 0);
+  for (NodeId r : roots) is_root[static_cast<std::size_t>(r)] = 1;
+  ForestSampler sampler(g);
+  int count = 0;
+  for (int f = 0; f < forests; ++f) {
+    Rng rng(seed, static_cast<uint64_t>(f));
+    const RootedForest& forest = sampler.Sample(is_root, &rng);
+    count += forest.parent[static_cast<std::size_t>(u)] == v ||
+                     forest.parent[static_cast<std::size_t>(v)] == u
+                 ? 1
+                 : 0;
+  }
+  return count;
+}
+
+/// Touches karate's edge (32, 33) `touches` times, each a x1.01
+/// reweight followed by a warm solve (k = 2, 1024 forests per call), on
+/// seeds 1-4. Expects the share of the last deposited arenas' forests
+/// that use the edge within 4 sigma of fresh sampling on the final
+/// graph. Keep-if-clean replay held about 0.02 after one touch against
+/// 0.14 fresh, and squared its share with each further touch.
+void ExpectFreshEdgeShare(int touches) {
+  const NodeId u = 32;
+  const NodeId v = 33;
+  const int k = 2;
+  const int fresh_forests = 8192;
+  int arena_hits = 0;
+  int arena_forests = 0;
+  int fresh_hits = 0;
+  int fresh_total = 0;
+  for (uint64_t seed : {1, 2, 3, 4}) {
+    CfcmOptions options = Opts(seed);
+    options.eps = 0.05;  // saturates max_forests = 1024
+    Graph g = KarateClub();
+    std::shared_ptr<const WarmState> state;
+    ASSERT_TRUE(ColdSolve(g, k, options, &state).ok());
+    std::vector<NodeId> roots;
+    for (int t = 0; t < touches; ++t) {
+      GraphDelta touch;
+      touch.ReweightEdge(u, v, g.EdgeWeight(u, v) * 1.01);
+      auto next_graph = g.Apply(touch);
+      ASSERT_TRUE(next_graph.ok());
+      const auto advanced = AdvanceWarmState(*state, g, touch);
+      ASSERT_NE(advanced->lease, nullptr) << "seed " << seed;
+      g = std::move(*next_graph);
+      const auto warm =
+          WarmSolve(g, k, options, WarmMode::kOn, advanced, &state);
+      ASSERT_TRUE(warm.ok());
+      ASSERT_TRUE(warm->warm_started);
+      ASSERT_NE(state->lease, nullptr) << "seed " << seed;
+      roots.assign(warm->selected.begin(), warm->selected.end() - 1);
+    }
+    const ForestArena& arena = state->lease->arena;
+    ASSERT_EQ(arena.roots(), roots);
+    arena_hits += ForestsUsingEdge(arena, u, v);
+    arena_forests += arena.committed();
+    fresh_hits +=
+        FreshForestsUsingEdge(g, roots, u, v, fresh_forests, 1000 + seed);
+    fresh_total += fresh_forests;
+  }
+  ASSERT_GE(arena_forests, 4 * 1024);
+  const double fresh = static_cast<double>(fresh_hits) / fresh_total;
+  const double share = static_cast<double>(arena_hits) / arena_forests;
+  const double sigma = std::sqrt(fresh * (1.0 - fresh) *
+                                 (1.0 / arena_forests + 1.0 / fresh_total));
+  EXPECT_GT(fresh, 0.1);
+  EXPECT_NEAR(share, fresh, 4.0 * sigma)
+      << touches << " touches: arena " << share << ", fresh " << fresh;
+}
+
+TEST(WarmReplayBiasTest, ReweightedEdgeShareMatchesFreshSampling) {
+  ExpectFreshEdgeShare(1);
+}
+
+TEST(WarmReplayBiasTest, RepeatedTouchesKeepTheFreshShare) {
+  ExpectFreshEdgeShare(4);
 }
 
 // ------------------------------------------------ warm-mode plumbing
